@@ -8,6 +8,8 @@ dilated cost-volume correlation, detail-completion and density fusion
 operators, evaluation metrics, and binary artifact formats behind a CLI.
 """
 
+import types as _types
+
 from .cmax import (
     WarpedEvents,
     accumulate_iwe,
@@ -23,7 +25,6 @@ from .correlation import (
     average_pool,
     correlate,
     dilated_mask,
-    residual_update,
     warp_features,
 )
 from .errors import (
@@ -35,7 +36,6 @@ from .errors import (
     StepLimitError,
 )
 from .events import (
-    Event,
     EventStream,
     FrameSequence,
     multi_density_sweep,
@@ -53,7 +53,6 @@ from .io import (
     read_pgm,
     read_vox1,
     write_csv_rows,
-    write_events_csv,
     write_evt1,
     write_flo1,
     write_msh1,
@@ -67,7 +66,6 @@ from .fusion import (
     DEFAULT_LAMBDA_MDS,
     DEFAULT_XI,
     AttentionOperator,
-    LossWeights,
     cdc_fuse,
     confidence_fuse,
     mdc_loss,
@@ -101,92 +99,14 @@ from .scene import (
     seeded_rng,
     velocity_field,
 )
-from .voxel import density, incident_density, voxelize
+from .voxel import density, voxelize
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttentionOperator",
-    "CostVolume",
-    "DataError",
-    "DEFAULT_ALPHA",
-    "DEFAULT_LAMBDA_MDC",
-    "DEFAULT_LAMBDA_MDS",
-    "DEFAULT_XI",
-    "Event",
-    "EventStream",
-    "FormatError",
-    "FrameSequence",
-    "LossWeights",
-    "MeshGridSpec",
-    "MotionSpec",
-    "ParameterError",
-    "RangeError",
-    "Scene",
-    "SearchGrid",
-    "ShapeError",
-    "StepLimitError",
-    "VertexCandidates",
-    "WarpedEvents",
-    "accumulate_iwe",
-    "adaptive_timestamps",
-    "alignment_error",
-    "angular_error",
-    "average_pool",
-    "backward_warp",
-    "cdc_fuse",
-    "cell_center_pixels",
-    "confidence_fuse",
-    "contrast",
-    "correlate",
-    "density",
-    "dilated_mask",
-    "downsample_to_mesh",
-    "epe",
-    "extract_meshflow",
-    "f1_median",
-    "f2_smooth",
-    "flow_at_points",
-    "flow_between",
-    "flow_to_color",
-    "incident_density",
-    "mdc_loss",
-    "mds_fuse",
-    "mds_loss",
-    "multi_density_sweep",
-    "npe",
-    "outlier_pct",
-    "propagate",
-    "read_evt1",
-    "read_flo1",
-    "read_msh1",
-    "read_pgm",
-    "read_vox1",
-    "render_frame",
-    "render_sequence",
-    "residual_update",
-    "scene_texture",
-    "seeded_rng",
-    "select_best",
-    "shuffle_timestamps",
-    "simulate",
-    "spatial_guided_subsample",
-    "temporal_guided_subsample",
-    "total_loss",
-    "two_sided_components",
-    "two_sided_score",
-    "upsample_bilinear",
-    "upsample_flow_bilinear",
-    "velocity_field",
-    "voxelize",
-    "warp_events",
-    "warp_features",
-    "write_csv_rows",
-    "write_events_csv",
-    "write_evt1",
-    "write_flo1",
-    "write_msh1",
-    "write_pgm",
-    "write_ppm",
-    "write_vox1",
-]
+# Every public name bound above; submodules such as `io` are left out so
+# that `from evmeshflow import *` does not shadow the standard library.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .cmax import select_best, two_sided_components
+from .cmax import two_sided_components
 from .errors import FormatError, ParameterError
 from .events import (
     multi_density_sweep,
@@ -152,7 +152,7 @@ def _write_manifest(out: Path, command: str, entries: list[tuple[str, str]]) -> 
 # Commands
 
 
-def cmd_gen(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_gen(cfg, out: Path, seed: int) -> int:
     with _stage("config"):
         scene = _scene_from_config(cfg, seed)
         spec = _mesh_spec(cfg)
@@ -186,20 +186,23 @@ def cmd_gen(cfg, out: Path, seed: int, threads: int) -> int:
     return 0
 
 
-def _sweep(cfg, seed: int, threads: int):
-    scene = _scene_from_config(cfg, seed)
-    thresholds = _cfg_floats(cfg, "thresholds", "0.2")
-    bins = _cfg_int(cfg, "bins", 5)
-    times = adaptive_timestamps(scene, scene.t_start, scene.t_end)
-    frames = render_sequence(scene, times)
-    streams = multi_density_sweep(frames, thresholds, threads=threads)
-    densities = [density(voxelize(s, bins)) for s in streams]
+def _sweep(cfg, seed: int):
+    with _stage("config"):
+        scene = _scene_from_config(cfg, seed)
+        thresholds = _cfg_floats(cfg, "thresholds", "0.2")
+        bins = _cfg_int(cfg, "bins", 5)
+    with _stage("render"):
+        times = adaptive_timestamps(scene, scene.t_start, scene.t_end)
+        frames = render_sequence(scene, times)
+    with _stage("simulate"):
+        streams = multi_density_sweep(frames, thresholds)
+    with _stage("voxelize"):
+        densities = [density(voxelize(s, bins)) for s in streams]
     return thresholds, streams, densities
 
 
-def cmd_simulate(cfg, out: Path, seed: int, threads: int) -> int:
-    with _stage("config"):
-        thresholds, streams, densities = _sweep(cfg, seed, threads)
+def cmd_simulate(cfg, out: Path, seed: int) -> int:
+    thresholds, streams, densities = _sweep(cfg, seed)
     entries = []
     rows = []
     with _stage("write"):
@@ -217,9 +220,8 @@ def cmd_simulate(cfg, out: Path, seed: int, threads: int) -> int:
     return 0
 
 
-def cmd_density(cfg, out: Path, seed: int, threads: int) -> int:
-    with _stage("config"):
-        thresholds, streams, densities = _sweep(cfg, seed, threads)
+def cmd_density(cfg, out: Path, seed: int) -> int:
+    thresholds, streams, densities = _sweep(cfg, seed)
     with _stage("write"):
         rows = [
             [repr(c), len(s), repr(d)]
@@ -231,9 +233,11 @@ def cmd_density(cfg, out: Path, seed: int, threads: int) -> int:
     return 0
 
 
-def cmd_select(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_select(cfg, out: Path, seed: int) -> int:
     with _stage("config"):
         paths = _cfg_paths(cfg, "candidates")
+        if not paths:
+            raise ParameterError("at least one candidate stream required")
         flow_path = Path(_require(cfg, "flow"))
         splat = cfg.get("splat", "bilinear")
     with _stage("load"):
@@ -243,10 +247,13 @@ def cmd_select(cfg, out: Path, seed: int, threads: int) -> int:
         t_i = _cfg_float(cfg, "t_i_us", min(s.t_start for s in candidates))
         t_j = _cfg_float(cfg, "t_j_us", max(s.t_end for s in candidates))
         rows = []
+        totals = []
         for k, stream in enumerate(candidates):
             var_i, var_j = two_sided_components(stream, flow, t_i, t_j, splat=splat)
-            rows.append([k, repr(var_i), repr(var_j), repr(var_i + var_j)])
-        best = select_best(candidates, flow, t_i, t_j, splat=splat)
+            totals.append(var_i + var_j)
+            rows.append([k, repr(var_i), repr(var_j), repr(totals[-1])])
+        # argmax takes the first maximum, so ties resolve to the lowest index.
+        best = int(np.argmax(totals))
     with _stage("write"):
         io.write_csv_rows(
             out / "scores.csv", ["candidate_index", "var_ti", "var_tj", "total"], rows
@@ -264,7 +271,7 @@ def cmd_select(cfg, out: Path, seed: int, threads: int) -> int:
     return 0
 
 
-def cmd_meshflow(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_meshflow(cfg, out: Path, seed: int) -> int:
     with _stage("config"):
         flow_path = Path(_require(cfg, "flow"))
         spec = _mesh_spec(cfg)
@@ -288,7 +295,7 @@ def cmd_meshflow(cfg, out: Path, seed: int, threads: int) -> int:
     return 0
 
 
-def cmd_eval(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_eval(cfg, out: Path, seed: int) -> int:
     with _stage("config"):
         pred_path = Path(_require(cfg, "pred"))
         gt_path = Path(_require(cfg, "gt"))
@@ -321,7 +328,7 @@ def cmd_eval(cfg, out: Path, seed: int, threads: int) -> int:
     return 0
 
 
-def cmd_warp(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_warp(cfg, out: Path, seed: int) -> int:
     with _stage("config"):
         image_path = Path(_require(cfg, "image"))
         ref_path = Path(_require(cfg, "reference"))
@@ -353,7 +360,7 @@ def cmd_warp(cfg, out: Path, seed: int, threads: int) -> int:
     return 0
 
 
-def cmd_subsample(cfg, out: Path, seed: int, threads: int) -> int:
+def cmd_subsample(cfg, out: Path, seed: int) -> int:
     with _stage("config"):
         events_path = Path(_require(cfg, "events"))
         flow_path = Path(_require(cfg, "flow"))
@@ -402,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", type=Path, help="key=value config file")
         sub.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         sub.add_argument("--seed", type=int, help="master RNG seed (overrides config)")
-        sub.add_argument("--threads", type=int, default=1, help="sweep worker threads")
+        sub.add_argument("--threads", type=int, help="accepted and ignored")
         sub.add_argument(
             "overrides", nargs="*", metavar="key=value", help="config overrides"
         )
@@ -418,10 +425,9 @@ def main(argv=None) -> int:
                 cfg.update(_read_config_file(args.config))
             cfg.update(_parse_pairs(args.overrides))
             seed = args.seed if args.seed is not None else int(cfg.get("seed", "0"))
-            threads = max(1, args.threads)
         with _stage("setup"):
             args.out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command][0](cfg, args.out, seed, threads)
+        return _COMMANDS[args.command][0](cfg, args.out, seed)
     except StageError as err:
         print(f"error [{err.stage}]: {err}", file=sys.stderr)
         return 1

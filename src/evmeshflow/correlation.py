@@ -131,15 +131,6 @@ def warp_features(features: np.ndarray, flow: np.ndarray) -> np.ndarray:
     return bilinear_sample(features, gx + flow[..., 0], gy + flow[..., 1])
 
 
-def residual_update(flow: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """Add a predicted residual to the current flow estimate."""
-    flow = np.asarray(flow, dtype=np.float64)
-    residual = np.asarray(residual, dtype=np.float64)
-    if flow.shape != residual.shape:
-        raise ShapeError("flow and residual shapes differ")
-    return flow + residual
-
-
 def average_pool(features: np.ndarray, factor: int) -> np.ndarray:
     """Mean-pool (C, H, W) features by an integer factor per axis."""
     features = np.asarray(features, dtype=np.float64)

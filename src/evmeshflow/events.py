@@ -9,22 +9,13 @@ therefore emits floor(k) events with linearly interpolated timestamps, and
 sub-threshold residue carries over to later frames instead of being reset.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DataError, ParameterError, ShapeError
 from .scene import Scene, render_frame
-
-
-class Event(NamedTuple):
-    x: int
-    y: int
-    t: int  # microseconds
-    p: int  # -1 or +1
 
 
 @dataclass
@@ -73,9 +64,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def event(self, i: int) -> Event:
-        return Event(int(self.x[i]), int(self.y[i]), int(self.t[i]), int(self.p[i]))
 
     def select(self, mask: np.ndarray) -> "EventStream":
         """Subset of the stream; order and time span are preserved."""
@@ -184,20 +172,11 @@ def simulate(frames: FrameSequence, threshold: float) -> EventStream:
     )
 
 
-def multi_density_sweep(
-    frames: FrameSequence, thresholds, threads: int = 1
-) -> list[EventStream]:
-    """Simulate one stream per contrast threshold.
-
-    Thresholds are processed independently, so the result is identical for
-    any thread count; streams keep the input threshold order.
-    """
+def multi_density_sweep(frames: FrameSequence, thresholds) -> list[EventStream]:
+    """Simulate one stream per contrast threshold, in the input order."""
     thresholds = [float(c) for c in thresholds]
     if not thresholds:
         raise ParameterError("at least one threshold required")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: simulate(frames, c), thresholds))
     return [simulate(frames, c) for c in thresholds]
 
 

@@ -24,22 +24,6 @@ DEFAULT_LAMBDA_MDS = 10.0
 CORRECTION_MODES = ("warp", "add")
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    alpha: float = DEFAULT_ALPHA
-    xi: float = DEFAULT_XI
-    lambda_mdc: float = DEFAULT_LAMBDA_MDC
-    lambda_mds: float = DEFAULT_LAMBDA_MDS
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError("alpha must lie in [0, 1]")
-        if not self.xi > 0.0:
-            raise ParameterError("xi must be > 0")
-        if self.lambda_mdc < 0.0 or self.lambda_mds < 0.0:
-            raise ParameterError("loss weights must be >= 0")
-
-
 def _check_field(field: np.ndarray, name: str = "flow") -> np.ndarray:
     field = np.asarray(field, dtype=np.float64)
     if field.ndim != 3 or field.shape[2] != 2:

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ParameterError, ShapeError
 from .events import EventStream
 
 _EVT1_HEADER = struct.Struct("<4sHHQ")
+_EVT1_MAX_SIDE = 65535  # width, height and coordinates are stored as uint16
 _EVT1_RECORD = np.dtype(
     {
         "names": ["x", "y", "t", "p"],
@@ -31,6 +32,11 @@ _MSH1_HEADER = struct.Struct("<4sII")
 
 def write_evt1(path, stream: EventStream) -> None:
     """Write an event stream: 16-byte header, then 16-byte event records."""
+    if stream.width > _EVT1_MAX_SIDE or stream.height > _EVT1_MAX_SIDE:
+        raise ParameterError(
+            f"EVT1 holds sensors up to {_EVT1_MAX_SIDE} px per side, "
+            f"got {stream.width}x{stream.height}"
+        )
     records = np.zeros(len(stream), dtype=_EVT1_RECORD)
     records["x"] = stream.x
     records["y"] = stream.y
@@ -222,14 +228,6 @@ def flow_to_color(flow: np.ndarray, max_mag: float | None = None) -> np.ndarray:
         # Desaturate toward white for small magnitudes.
         rgb[..., c] = 1.0 - mag * (1.0 - col)
     return np.rint(rgb * 255.0).astype(np.uint8)
-
-
-def write_events_csv(path, stream: EventStream) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "t", "p"])
-        for i in range(len(stream)):
-            writer.writerow([int(stream.x[i]), int(stream.y[i]), int(stream.t[i]), int(stream.p[i])])
 
 
 def write_csv_rows(path, header: list[str], rows: list[list]) -> None:

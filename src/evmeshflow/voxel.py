@@ -52,22 +52,10 @@ def density(grid: np.ndarray) -> float:
     """Fraction of pixels whose summed absolute bin mass is nonzero.
 
     Pixels whose positive and negative contributions cancel exactly within
-    a bin count as inactive under this reading; see incident_density for
-    the alternative that counts any pixel touched by an event.
+    a bin count as inactive.
     """
     grid = np.asarray(grid)
     if grid.ndim != 3:
         raise ShapeError(f"expected (B, H, W) grid, got {grid.shape}")
     active = np.abs(grid).sum(axis=0) > 0.0
-    return float(active.mean())
-
-
-def incident_density(stream: EventStream) -> float:
-    """Fraction of pixels that receive at least one event.
-
-    Alternative density reading that is insensitive to polarity
-    cancellation inside the voxel kernel.
-    """
-    active = np.zeros((stream.height, stream.width), dtype=bool)
-    active[stream.y, stream.x] = True
     return float(active.mean())

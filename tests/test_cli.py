@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import evmeshflow.cmax
 from evmeshflow import (
     MotionSpec,
     Scene,
@@ -141,6 +142,23 @@ class TestSimulateAndDensity:
         assert _run(capsys, *base, "--out", out_b, "--threads", "4")[0] == 0
         assert _dir_bytes(out_a) == _dir_bytes(out_b)
 
+    @pytest.mark.parametrize("command", ["simulate", "density"])
+    @pytest.mark.parametrize(
+        "override, stage",
+        [
+            ("motion=affine", "config"),
+            ("thresholds=-1", "simulate"),
+            ("bins=0", "voxelize"),
+        ],
+    )
+    def test_failure_names_its_stage(self, tmp_path, capsys, command, override, stage):
+        code, _, stderr = _run(
+            capsys, command, "--out", tmp_path / "out", "width=16", "height=16",
+            override,
+        )
+        assert code == 1
+        assert stderr.startswith(f"error [{stage}]:")
+
 
 def _make_candidates(tmp_path):
     scene = Scene(32, 32, 5, MotionSpec("translation", (8.0, 3.0)))
@@ -195,6 +213,35 @@ class TestSelect:
         )
         assert code == 0
         assert "selected=0" in stdout
+
+    def test_each_candidate_scored_once(self, tmp_path, capsys, monkeypatch):
+        _make_candidates(tmp_path)
+        calls = []
+        accumulate = evmeshflow.cmax.accumulate_iwe
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return accumulate(*args, **kwargs)
+
+        monkeypatch.setattr(evmeshflow.cmax, "accumulate_iwe", counting)
+        names = ["coherent", "shuffled", "coherent"]
+        code, _, _ = _run(
+            capsys, "select", "--out", tmp_path / "out",
+            "candidates=" + ",".join(str(tmp_path / f"{n}.evt1") for n in names),
+            f"flow={tmp_path / 'flow.flo1'}",
+        )
+        assert code == 0
+        # One image of warped events per interval endpoint per candidate.
+        assert len(calls) == 2 * len(names)
+
+    def test_no_candidates_fails_in_config_stage(self, tmp_path, capsys):
+        _make_candidates(tmp_path)
+        code, _, stderr = _run(
+            capsys, "select", "--out", tmp_path / "out", "candidates=",
+            f"flow={tmp_path / 'flow.flo1'}",
+        )
+        assert code == 1
+        assert stderr.startswith("error [config]:")
 
 
 class TestMeshflow:

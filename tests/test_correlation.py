@@ -10,7 +10,6 @@ from evmeshflow import (
     average_pool,
     correlate,
     dilated_mask,
-    residual_update,
     seeded_rng,
     warp_features,
 )
@@ -216,26 +215,6 @@ class TestWarpFeatures:
             warp_features(np.zeros((6, 6)), np.zeros((6, 6, 2)))
         with pytest.raises(ShapeError):
             warp_features(np.zeros((2, 6, 6)), np.zeros((4, 4, 2)))
-
-
-class TestResidualUpdate:
-    def test_zero_correction(self):
-        flow = seeded_rng(10).normal(size=(4, 4, 2))
-        assert np.array_equal(residual_update(flow, np.zeros_like(flow)), flow)
-
-    def test_cancelling_correction(self):
-        flow = seeded_rng(11).normal(size=(4, 4, 2))
-        assert np.allclose(residual_update(flow, -flow), 0.0)
-
-    def test_elementwise_sum(self):
-        rng = seeded_rng(12)
-        a = rng.normal(size=(4, 4, 2))
-        b = rng.normal(size=(4, 4, 2))
-        assert np.array_equal(residual_update(a, b), a + b)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            residual_update(np.zeros((4, 4, 2)), np.zeros((4, 5, 2)))
 
 
 class TestAveragePool:

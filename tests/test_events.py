@@ -203,16 +203,6 @@ class TestMultiDensitySweep:
         assert np.array_equal(sweep[0].t, direct.t)
         assert np.array_equal(sweep[0].p, direct.p)
 
-    def test_thread_count_does_not_change_results(self):
-        frames = self._frames()
-        seq = multi_density_sweep(frames, [0.1, 0.2, 0.4], threads=1)
-        par = multi_density_sweep(frames, [0.1, 0.2, 0.4], threads=3)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.t, b.t)
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.y, b.y)
-            assert np.array_equal(a.p, b.p)
-
     def test_huge_threshold_gives_empty_stream(self):
         frames = self._frames()
         logs = np.log(frames.values)

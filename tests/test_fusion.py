@@ -5,7 +5,6 @@ from evmeshflow import (
     AttentionOperator,
     DataError,
     EventStream,
-    LossWeights,
     ParameterError,
     ShapeError,
     cdc_fuse,
@@ -25,23 +24,6 @@ from evmeshflow.sampling import bilinear_sample
 def _uniform_attention(window, height, width):
     weights = np.full((window**2, height, width), 1.0 / window**2)
     return AttentionOperator(window, weights)
-
-
-class TestLossWeights:
-    def test_defaults(self):
-        w = LossWeights()
-        assert w.alpha == 0.6
-        assert w.xi == 1e-3
-        assert w.lambda_mdc == 0.1
-        assert w.lambda_mds == 10.0
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            LossWeights(alpha=1.5)
-        with pytest.raises(ParameterError):
-            LossWeights(xi=0.0)
-        with pytest.raises(ParameterError):
-            LossWeights(lambda_mdc=-0.1)
 
 
 class TestAttentionOperator:

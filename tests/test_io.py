@@ -4,6 +4,7 @@ import pytest
 from evmeshflow import (
     EventStream,
     FormatError,
+    ParameterError,
     ShapeError,
     flow_to_color,
     read_evt1,
@@ -12,7 +13,6 @@ from evmeshflow import (
     read_pgm,
     read_vox1,
     seeded_rng,
-    write_events_csv,
     write_csv_rows,
     write_evt1,
     write_flo1,
@@ -89,6 +89,21 @@ class TestEvt1:
         path.write_bytes(b"EVT")
         with pytest.raises(FormatError):
             read_evt1(path)
+
+    @pytest.mark.parametrize("width, height", [(70000, 8), (8, 65536)])
+    def test_oversize_sensor_rejected_before_writing(self, tmp_path, width, height):
+        stream = EventStream([0], [0], [5], [1], width, height, 0, 10)
+        path = tmp_path / "big.evt1"
+        with pytest.raises(ParameterError, match="65535"):
+            write_evt1(path, stream)
+        assert not path.exists()
+
+    def test_largest_sensor_roundtrips(self, tmp_path):
+        stream = EventStream([65534], [3], [5], [1], 65535, 8, 0, 10)
+        path = tmp_path / "edge.evt1"
+        write_evt1(path, stream)
+        back = read_evt1(path)
+        assert back.width == 65535 and back.x[0] == 65534
 
 
 class TestVox1:
@@ -255,12 +270,6 @@ class TestPpmAndColor:
 
 
 class TestCsv:
-    def test_events_csv(self, tmp_path):
-        stream = EventStream([1, 2], [3, 4], [10, 20], [1, -1], 8, 8, 0, 30)
-        path = tmp_path / "events.csv"
-        write_events_csv(path, stream)
-        assert path.read_text() == "x,y,t,p\n1,3,10,1\n2,4,20,-1\n"
-
     def test_generic_rows(self, tmp_path):
         path = tmp_path / "table.csv"
         write_csv_rows(path, ["a", "b"], [[1, 2], ["x", 0.5]])

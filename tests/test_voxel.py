@@ -8,7 +8,6 @@ from evmeshflow import (
     ParameterError,
     ShapeError,
     density,
-    incident_density,
     seeded_rng,
     voxelize,
 )
@@ -128,15 +127,3 @@ class TestDensity:
         stream = _stream([1, 1], [1, 1], [5, 5], [-1, 1], width=2, height=2)
         grid = voxelize(stream, 5)
         assert density(grid) == 0.0
-        assert incident_density(stream) == pytest.approx(0.25)
-
-
-class TestIncidentDensity:
-    def test_counts_touched_pixels(self):
-        stream = _stream([0, 0, 3], [0, 0, 3], [1, 2, 3], [1, 1, -1])
-        assert incident_density(stream) == pytest.approx(2 / 16)
-
-    def test_empty_stream(self):
-        empty = np.empty(0, dtype=np.int64)
-        stream = EventStream(empty, empty, empty, empty, 4, 4, 0, 1)
-        assert incident_density(stream) == 0.0
