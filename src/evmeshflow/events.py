@@ -208,11 +208,35 @@ def _check_subsample_args(stream, flow, keep_ratio, tolerance):
             f"flow shape {flow.shape} does not match sensor "
             f"({stream.height}, {stream.width}, 2)"
         )
+    if not np.all(np.isfinite(flow)):
+        raise DataError("flow must be finite")
     if not 0.0 < keep_ratio <= 1.0:
         raise ParameterError("keep_ratio must lie in (0, 1]")
     if not tolerance >= 0.0:
         raise ParameterError("tolerance must be >= 0")
     return flow
+
+
+def _near_seed_paths(stream, flow, spacing, tolerance, candidates):
+    """Mask of the candidates within `tolerance` px of a seed path u + s * flow(u)."""
+    sy, sx = np.mgrid[: stream.height : spacing, : stream.width : spacing].reshape(2, -1)
+    seed_pos = np.stack([sx, sy], axis=1).astype(np.float64)
+    seed_flow = flow[sy, sx]
+
+    s_norm = _normalized_times(stream)
+    ev_pos = np.stack([stream.x, stream.y], axis=1).astype(np.float64)
+    idx = np.nonzero(candidates)[0]
+    keep = np.zeros(len(stream), dtype=bool)
+    # The stream is time-sorted, so each timestamp is one run of candidates,
+    # and the events in it share the advected seed cloud.
+    _, starts = np.unique(stream.t[idx], return_index=True)
+    bounds = np.append(starts, len(idx))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        run = idx[lo:hi]
+        cloud = seed_pos + s_norm[run[0]] * seed_flow
+        dist, _ = cKDTree(cloud).query(ev_pos[run])
+        keep[run] = dist <= tolerance
+    return keep
 
 
 def spatial_guided_subsample(
@@ -232,29 +256,10 @@ def spatial_guided_subsample(
     """
     flow = _check_subsample_args(stream, flow, keep_ratio, tolerance)
     spacing = max(1, round(1.0 / np.sqrt(keep_ratio)))
-    if spacing == 1 or len(stream) == 0:
-        return stream.select(np.ones(len(stream), dtype=bool))
-
-    sy, sx = np.mgrid[0 : stream.height : spacing, 0 : stream.width : spacing]
-    sx = sx.ravel()
-    sy = sy.ravel()
-    seed_pos = np.stack([sx, sy], axis=1).astype(np.float64)
-    seed_flow = flow[sy, sx]
-
-    s_norm = _normalized_times(stream)
-    keep = np.zeros(len(stream), dtype=bool)
-    ev_pos = np.stack([stream.x, stream.y], axis=1).astype(np.float64)
-    if not np.isfinite(tolerance):
-        return stream.select(np.ones(len(stream), dtype=bool))
-    # Events sharing a timestamp share the advected seed cloud.
-    uniq, inverse = np.unique(stream.t, return_inverse=True)
-    for i in range(len(uniq)):
-        sel = inverse == i
-        s = s_norm[np.argmax(sel)]
-        cloud = seed_pos + s * seed_flow
-        dist, _ = cKDTree(cloud).query(ev_pos[sel])
-        keep[sel] = dist <= tolerance
-    return stream.select(keep)
+    candidates = np.ones(len(stream), dtype=bool)
+    if spacing == 1:
+        return stream.select(candidates)
+    return stream.select(_near_seed_paths(stream, flow, spacing, tolerance, candidates))
 
 
 def temporal_guided_subsample(
@@ -273,28 +278,7 @@ def temporal_guided_subsample(
     all events at the retained timestamps.
     """
     flow = _check_subsample_args(stream, flow, keep_ratio, tolerance)
-    if len(stream) == 0:
-        return stream.select(np.zeros(0, dtype=bool))
-
     uniq, inverse = np.unique(stream.t, return_inverse=True)
     idx = np.arange(len(uniq))
     kept_stamp = np.floor(idx * keep_ratio) > np.floor((idx - 1) * keep_ratio)
-    keep = kept_stamp[inverse]
-    if not np.isfinite(tolerance):
-        return stream.select(keep)
-
-    gy, gx = np.mgrid[0 : stream.height, 0 : stream.width]
-    gx = gx.ravel()
-    gy = gy.ravel()
-    seed_pos = np.stack([gx, gy], axis=1).astype(np.float64)
-    seed_flow = flow[gy, gx]
-
-    s_norm = _normalized_times(stream)
-    ev_pos = np.stack([stream.x, stream.y], axis=1).astype(np.float64)
-    for i in np.nonzero(kept_stamp)[0]:
-        sel = inverse == i
-        s = s_norm[np.argmax(sel)]
-        cloud = seed_pos + s * seed_flow
-        dist, _ = cKDTree(cloud).query(ev_pos[sel])
-        keep[sel] &= dist <= tolerance
-    return stream.select(keep)
+    return stream.select(_near_seed_paths(stream, flow, 1, tolerance, kept_stamp[inverse]))

@@ -7,12 +7,13 @@ malformed input rather than guessing.
 """
 
 import csv
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, ShapeError
+from .errors import DataError, FormatError, ParameterError, ShapeError
 from .events import EventStream
 
 _EVT1_HEADER = struct.Struct("<4sHHQ")
@@ -25,9 +26,6 @@ _EVT1_RECORD = np.dtype(
         "itemsize": 16,
     }
 )
-_VOX1_HEADER = struct.Struct("<4sIII")
-_FLO1_HEADER = struct.Struct("<4sII")
-_MSH1_HEADER = struct.Struct("<4sII")
 
 
 def write_evt1(path, stream: EventStream) -> None:
@@ -59,42 +57,55 @@ def read_evt1(path) -> EventStream:
         raise FormatError("EVT1 payload size does not match header count")
     records = np.frombuffer(body, dtype=_EVT1_RECORD)
     t = records["t"].astype(np.int64)
-    t_start = int(t[0]) if count else 0
-    t_end = int(t[-1]) if count else 0
-    return EventStream(
-        records["x"].astype(np.int32),
-        records["y"].astype(np.int32),
-        t,
-        records["p"].astype(np.int8),
-        width,
-        height,
-        t_start,
-        t_end,
-    )
+    if np.any(np.diff(t) < 0):
+        raise FormatError("EVT1 timestamps are not sorted")
+    try:
+        return EventStream(
+            records["x"].astype(np.int32),
+            records["y"].astype(np.int32),
+            t,
+            records["p"].astype(np.int8),
+            width,
+            height,
+            int(t[0]) if count else 0,
+            int(t[-1]) if count else 0,
+        )
+    except (DataError, ParameterError) as exc:
+        raise FormatError(f"bad EVT1 records: {exc}") from exc
+
+
+def _write_f32(path, magic: bytes, dims, values) -> None:
+    """Write magic, uint32 dims, then values as little-endian float32."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f"<4s{len(dims)}I", magic, *dims))
+        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+
+
+def _read_f32(path, magic: bytes, ndims: int, shape_of) -> np.ndarray:
+    """Read a _write_f32 container; shape_of maps the header dims to a shape."""
+    name = magic.decode()
+    blob = Path(path).read_bytes()
+    offset = 4 + 4 * ndims
+    if len(blob) < offset:
+        raise FormatError(f"{name} file truncated before header")
+    if blob[:4] != magic:
+        raise FormatError(f"bad {name} magic {blob[:4]!r}")
+    shape = shape_of(*struct.unpack_from(f"<{ndims}I", blob, 4))
+    body = blob[offset:]
+    if len(body) != 4 * math.prod(shape):
+        raise FormatError(f"{name} payload size mismatch")
+    return np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(shape)
 
 
 def write_vox1(path, grid: np.ndarray) -> None:
     grid = np.asarray(grid)
     if grid.ndim != 3:
         raise ShapeError(f"expected (B, H, W) grid, got {grid.shape}")
-    bins, height, width = grid.shape
-    with open(path, "wb") as fh:
-        fh.write(_VOX1_HEADER.pack(b"VOX1", bins, height, width))
-        fh.write(np.ascontiguousarray(grid, dtype="<f4").tobytes())
+    _write_f32(path, b"VOX1", grid.shape, grid)
 
 
 def read_vox1(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if len(blob) < _VOX1_HEADER.size:
-        raise FormatError("VOX1 file truncated before header")
-    magic, bins, height, width = _VOX1_HEADER.unpack_from(blob)
-    if magic != b"VOX1":
-        raise FormatError(f"bad VOX1 magic {magic!r}")
-    body = blob[_VOX1_HEADER.size :]
-    if len(body) != 4 * bins * height * width:
-        raise FormatError("VOX1 payload size mismatch")
-    values = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    return values.reshape(bins, height, width)
+    return _read_f32(path, b"VOX1", 3, lambda *dims: dims)
 
 
 def write_flo1(path, flow: np.ndarray) -> None:
@@ -102,23 +113,11 @@ def write_flo1(path, flow: np.ndarray) -> None:
     if flow.ndim != 3 or flow.shape[2] != 2:
         raise ShapeError(f"expected (H, W, 2) flow, got {flow.shape}")
     height, width = flow.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(_FLO1_HEADER.pack(b"FLO1", width, height))
-        fh.write(np.ascontiguousarray(flow, dtype="<f4").tobytes())
+    _write_f32(path, b"FLO1", (width, height), flow)
 
 
 def read_flo1(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if len(blob) < _FLO1_HEADER.size:
-        raise FormatError("FLO1 file truncated before header")
-    magic, width, height = _FLO1_HEADER.unpack_from(blob)
-    if magic != b"FLO1":
-        raise FormatError(f"bad FLO1 magic {magic!r}")
-    body = blob[_FLO1_HEADER.size :]
-    if len(body) != 4 * height * width * 2:
-        raise FormatError("FLO1 payload size mismatch")
-    values = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    return values.reshape(height, width, 2)
+    return _read_f32(path, b"FLO1", 2, lambda width, height: (height, width, 2))
 
 
 def write_msh1(path, mesh: np.ndarray) -> None:
@@ -129,23 +128,14 @@ def write_msh1(path, mesh: np.ndarray) -> None:
     cells_x = mesh.shape[1] - 1
     if cells_x < 1 or cells_y < 1:
         raise ShapeError("mesh needs at least 2 vertices per axis")
-    with open(path, "wb") as fh:
-        fh.write(_MSH1_HEADER.pack(b"MSH1", cells_x, cells_y))
-        fh.write(np.ascontiguousarray(mesh, dtype="<f4").tobytes())
+    _write_f32(path, b"MSH1", (cells_x, cells_y), mesh)
 
 
 def read_msh1(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if len(blob) < _MSH1_HEADER.size:
-        raise FormatError("MSH1 file truncated before header")
-    magic, cells_x, cells_y = _MSH1_HEADER.unpack_from(blob)
-    if magic != b"MSH1":
-        raise FormatError(f"bad MSH1 magic {magic!r}")
-    body = blob[_MSH1_HEADER.size :]
-    if len(body) != 4 * (cells_y + 1) * (cells_x + 1) * 2:
-        raise FormatError("MSH1 payload size mismatch")
-    values = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    return values.reshape(cells_y + 1, cells_x + 1, 2)
+    mesh = _read_f32(path, b"MSH1", 2, lambda cx, cy: (cy + 1, cx + 1, 2))
+    if min(mesh.shape[:2]) < 2:
+        raise FormatError("MSH1 mesh needs at least one cell per axis")
+    return mesh
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -170,6 +160,8 @@ def read_pgm(path) -> np.ndarray:
         maxval = int(parts[2])
     except ValueError as exc:
         raise FormatError("bad PGM header") from exc
+    if width < 1 or height < 1:
+        raise FormatError(f"bad PGM size {width}x{height}")
     if maxval != 65535:
         raise FormatError(f"unsupported PGM maxval {maxval}")
     body = parts[3]

@@ -23,6 +23,7 @@ an even number of pixels, so that its center falls on a whole pixel.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParameterError, ShapeError
 from .sampling import bilinear_sample
@@ -82,6 +83,19 @@ def cell_center_pixels(spec: MeshGridSpec, height: int, width: int):
     return px, py
 
 
+def _windows(grid: np.ndarray, size: int) -> np.ndarray:
+    """Stacked size x size neighborhoods of an (Ny, Nx, 2) grid.
+
+    The grid is padded by size // 2 NaNs per side, so window (i, j) holds
+    grid rows i - size // 2 .. i + (size - 1) // 2 and likewise columns,
+    in row-major slot order, NaN where they fall outside the grid.
+    """
+    pad = size // 2
+    padded = np.pad(grid, ((pad, pad), (pad, pad), (0, 0)), constant_values=np.nan)
+    win = sliding_window_view(padded, (size, size), axis=(0, 1))
+    return np.moveaxis(win, 2, -1).reshape(win.shape[0], win.shape[1], size * size, 2)
+
+
 def propagate(flow: np.ndarray, spec: MeshGridSpec) -> VertexCandidates:
     """Spread each cell's center-pixel flow to the vertices around it.
 
@@ -96,22 +110,7 @@ def propagate(flow: np.ndarray, spec: MeshGridSpec) -> VertexCandidates:
     px, py = cell_center_pixels(spec, height, width)
     cell_motion = flow[py[:, None], px[None, :]]  # (cells_y, cells_x, 2)
 
-    vy_n, vx_n = spec.vertices_y, spec.vertices_x
-    values = np.full((vy_n, vx_n, 16, 2), np.nan)
-    for oy in range(4):
-        vy_lo = max(0, 2 - oy)
-        vy_hi = min(vy_n - 1, spec.cells_y + 1 - oy)
-        if vy_lo > vy_hi:
-            continue
-        for ox in range(4):
-            vx_lo = max(0, 2 - ox)
-            vx_hi = min(vx_n - 1, spec.cells_x + 1 - ox)
-            if vx_lo > vx_hi:
-                continue
-            slot = oy * 4 + ox
-            values[vy_lo : vy_hi + 1, vx_lo : vx_hi + 1, slot] = cell_motion[
-                vy_lo - 2 + oy : vy_hi - 1 + oy, vx_lo - 2 + ox : vx_hi - 1 + ox
-            ]
+    values = _windows(cell_motion, 4)
     counts = (~np.isnan(values[..., 0])).sum(axis=2)
     return VertexCandidates(values, counts)
 
@@ -132,17 +131,7 @@ def f2_smooth(mesh: np.ndarray) -> np.ndarray:
     Windows are truncated at the mesh border rather than padded.
     """
     mesh = _check_flow(mesh)
-    vy_n, vx_n = mesh.shape[:2]
-    stack = np.full((9, vy_n, vx_n, 2), np.nan)
-    for oy in (-1, 0, 1):
-        for ox in (-1, 0, 1):
-            slot = (oy + 1) * 3 + (ox + 1)
-            ys_lo, ys_hi = max(0, -oy), min(vy_n, vy_n - oy)
-            xs_lo, xs_hi = max(0, -ox), min(vx_n, vx_n - ox)
-            stack[slot, ys_lo:ys_hi, xs_lo:xs_hi] = mesh[
-                ys_lo + oy : ys_hi + oy, xs_lo + ox : xs_hi + ox
-            ]
-    return np.nanmedian(stack, axis=0)
+    return np.nanmedian(_windows(mesh, 3), axis=2)
 
 
 def extract_meshflow(flow: np.ndarray, spec: MeshGridSpec = MeshGridSpec()) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 These deliberately avoid the vectorized code paths of the package: the
 event oracle walks one pixel at a time, the correlation oracle uses plain
-nested loops.  Agreement between the two styles is what the equivalence
-tests assert.
+nested loops, and the subsampling oracles compare every event with every
+seed.  Agreement between the two styles is what the equivalence tests
+assert.
 """
+
+import math
 
 import numpy as np
 
@@ -61,3 +64,51 @@ def naive_correlate(feat_a, feat_b, offsets, denom):
                     acc += feat_a[c, y, x] * feat_b[c, yy, xx]
                 scores[m, y, x] = acc / denom
     return scores
+
+
+def _near_some_path(stream, flow, seeds, i, tolerance):
+    """Whether event i lies within tolerance of some seed path u + s*flow(u)."""
+    span = stream.t_end - stream.t_start
+    s = 0.0 if span <= 0 else (int(stream.t[i]) - stream.t_start) / float(span)
+    ex = float(stream.x[i])
+    ey = float(stream.y[i])
+    nearest = math.inf
+    for ux, uy in seeds:
+        dx = ex - (ux + s * float(flow[uy, ux, 0]))
+        dy = ey - (uy + s * float(flow[uy, ux, 1]))
+        nearest = min(nearest, math.sqrt(dx * dx + dy * dy))
+    return nearest <= tolerance
+
+
+def spatial_keep_mask(stream, flow, keep_ratio, tolerance):
+    """Brute-force keep mask of spatial_guided_subsample."""
+    spacing = max(1, round(1.0 / math.sqrt(keep_ratio)))
+    if spacing == 1:
+        return np.ones(len(stream), dtype=bool)
+    seeds = [
+        (ux, uy)
+        for uy in range(0, stream.height, spacing)
+        for ux in range(0, stream.width, spacing)
+    ]
+    return np.array(
+        [_near_some_path(stream, flow, seeds, i, tolerance) for i in range(len(stream))],
+        dtype=bool,
+    )
+
+
+def temporal_keep_mask(stream, flow, keep_ratio, tolerance):
+    """Brute-force keep mask of temporal_guided_subsample."""
+    stamps = sorted({int(t) for t in stream.t})
+    kept = {
+        stamp
+        for k, stamp in enumerate(stamps)
+        if math.floor(k * keep_ratio) > math.floor((k - 1) * keep_ratio)
+    }
+    seeds = [(ux, uy) for uy in range(stream.height) for ux in range(stream.width)]
+    return np.array(
+        [
+            int(stream.t[i]) in kept and _near_some_path(stream, flow, seeds, i, tolerance)
+            for i in range(len(stream))
+        ],
+        dtype=bool,
+    )

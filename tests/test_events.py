@@ -22,7 +22,7 @@ from evmeshflow import (
     temporal_guided_subsample,
 )
 
-from _oracles import scalar_simulate
+from _oracles import scalar_simulate, spatial_keep_mask, temporal_keep_mask
 
 
 def _single_pixel_frames(log_levels, times=None):
@@ -311,13 +311,6 @@ class TestTemporalSubsample:
         out = temporal_guided_subsample(stream, flow, 0.5, tolerance=np.inf)
         assert len(np.unique(out.t)) == 5
 
-    def test_empty_stream_passes_through(self):
-        empty = np.empty(0, dtype=np.int64)
-        stream = EventStream(empty, empty, empty, empty, 8, 8, 0, 100)
-        flow = np.zeros((8, 8, 2))
-        out = temporal_guided_subsample(stream, flow, 0.5)
-        assert len(out) == 0
-
     def test_trajectory_gate_drops_offpath_events(self):
         # All pixels are seeds; zero flow and tolerance 0 keep events only
         # exactly on integer seed positions, which is all of them; a large
@@ -329,3 +322,73 @@ class TestTemporalSubsample:
         push = np.full((8, 8, 2), 50.0)
         out = temporal_guided_subsample(stream, push, 1.0, tolerance=0.25)
         assert len(out) < len(stream)
+
+
+_SUBSAMPLERS = pytest.mark.parametrize(
+    "subsample, oracle",
+    [
+        (spatial_guided_subsample, spatial_keep_mask),
+        (temporal_guided_subsample, temporal_keep_mask),
+    ],
+    ids=["spatial", "temporal"],
+)
+
+
+class TestGuidedSubsample:
+    @_SUBSAMPLERS
+    def test_empty_stream_passes_through(self, subsample, oracle):
+        empty = np.empty(0, dtype=np.int64)
+        stream = EventStream(empty, empty, empty, empty, 8, 8, 0, 100)
+        flow = np.zeros((8, 8, 2))
+        out = subsample(stream, flow, 0.2)
+        assert len(out) == 0
+
+    @_SUBSAMPLERS
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("tolerance", [0.5, np.inf])
+    def test_non_finite_flow_rejected(self, subsample, oracle, bad, tolerance):
+        stream = _lattice_stream()
+        flow = np.zeros((8, 8, 2))
+        flow[3, 5, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            subsample(stream, flow, 0.2, tolerance=tolerance)
+
+    @_SUBSAMPLERS
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        width=st.integers(1, 7),
+        height=st.integers(1, 7),
+        count=st.integers(0, 40),
+        keep_ratio=st.floats(0.02, 1.0),
+        tolerance=st.sampled_from([0.0, 0.5, 1.0, 2.0**0.5, 2.0, np.inf])
+        | st.floats(0.0, 4.0),
+        integer_flow=st.booleans(),
+    )
+    def test_keep_mask_matches_brute_force(
+        self, subsample, oracle, seed, width, height, count, keep_ratio, tolerance,
+        integer_flow,
+    ):
+        # A span of 16 us makes every normalized time a dyadic fraction, so
+        # integer flows put many distances exactly on the tolerance, where
+        # <= must hold as in the definition.
+        rng = seeded_rng(seed)
+        span = int(rng.choice([16, 21]))
+        t = np.sort(rng.integers(0, span + 1, size=count))
+        stream = EventStream(
+            rng.integers(0, width, size=count),
+            rng.integers(0, height, size=count),
+            t,
+            rng.choice([-1, 1], size=count),
+            width,
+            height,
+            0,
+            span,
+        )
+        flow = rng.normal(0.0, 2.0, size=(height, width, 2))
+        if integer_flow:
+            flow = np.rint(flow)
+        want = stream.select(oracle(stream, flow, keep_ratio, tolerance))
+        got = subsample(stream, flow, keep_ratio, tolerance)
+        for field in ("x", "y", "t", "p"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evmeshflow import (
     EventStream,
@@ -90,6 +94,27 @@ class TestEvt1:
         with pytest.raises(FormatError):
             read_evt1(path)
 
+    @pytest.mark.parametrize(
+        "offset, fmt, value, message",
+        [
+            (16, "<H", 32, "outside the sensor"),
+            (18, "<H", 24, "outside the sensor"),
+            (28, "<b", 0, "polarities"),
+            (20, "<q", 2**40, "not sorted"),
+            (4, "<H", 0, "sensor dimensions"),
+        ],
+        ids=["x=width", "y=height", "p=0", "unsorted-t", "width=0"],
+    )
+    def test_bad_records_raise_format_error(self, tmp_path, offset, fmt, value, message):
+        # Offsets 16.. are the first record: x, y (uint16), t (int64) at 4, p at 12.
+        path = tmp_path / "bad.evt1"
+        write_evt1(path, _stream(4))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=message):
+            read_evt1(path)
+
     @pytest.mark.parametrize("width, height", [(70000, 8), (8, 65536)])
     def test_oversize_sensor_rejected_before_writing(self, tmp_path, width, height):
         stream = EventStream([0], [0], [5], [1], width, height, 0, 10)
@@ -114,6 +139,14 @@ class TestVox1:
         back = read_vox1(path)
         assert back.shape == (5, 6, 7)
         assert np.allclose(back, grid, atol=1e-7)
+
+    def test_header_stores_bins_height_width(self, tmp_path):
+        path = tmp_path / "grid.vox1"
+        write_vox1(path, np.zeros((2, 3, 5)))
+        blob = path.read_bytes()
+        assert blob[:4] == b"VOX1"
+        bins, height, width = np.frombuffer(blob[4:16], dtype="<u4")
+        assert (bins, height, width) == (2, 3, 5)
 
     def test_shape_validation(self, tmp_path):
         with pytest.raises(ShapeError):
@@ -187,6 +220,16 @@ class TestMsh1:
         with pytest.raises(ShapeError):
             write_msh1(tmp_path / "x.msh1", np.zeros((1, 5, 2)))
 
+    @pytest.mark.parametrize("cells_x, cells_y", [(0, 3), (3, 0)])
+    def test_zero_cells_rejected(self, tmp_path, cells_x, cells_y):
+        path = tmp_path / "flat.msh1"
+        values = np.zeros((cells_y + 1) * (cells_x + 1) * 2, dtype="<f4")
+        path.write_bytes(
+            b"MSH1" + np.array([cells_x, cells_y], dtype="<u4").tobytes() + values.tobytes()
+        )
+        with pytest.raises(FormatError, match="at least one cell"):
+            read_msh1(path)
+
     def test_payload_mismatch(self, tmp_path):
         path = tmp_path / "short.msh1"
         write_msh1(path, np.zeros((3, 3, 2)))
@@ -217,12 +260,96 @@ class TestPgm:
         with pytest.raises(FormatError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("size", [b"-1 -2", b"0 3", b"2 0"])
+    def test_non_positive_size_rejected(self, tmp_path, size):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n65535\n" + bytes(4))
+        with pytest.raises(FormatError, match="size"):
+            read_pgm(path)
+
     def test_payload_mismatch(self, tmp_path):
         path = tmp_path / "short.pgm"
         write_pgm(path, np.zeros((4, 4)))
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError):
             read_pgm(path)
+
+
+_CONTAINERS = {
+    "VOX1": (write_vox1, read_vox1, np.zeros((2, 3, 4)), 16),
+    "FLO1": (write_flo1, read_flo1, np.zeros((3, 4, 2)), 12),
+    "MSH1": (write_msh1, read_msh1, np.zeros((3, 4, 2)), 12),
+}
+
+
+@pytest.mark.parametrize("magic", sorted(_CONTAINERS))
+class TestFloat32Containers:
+    def _valid(self, tmp_path, magic):
+        write, read, values, header = _CONTAINERS[magic]
+        path = tmp_path / "data.bin"
+        write(path, values)
+        return path, read, header
+
+    @pytest.mark.parametrize("missing", [1, 8, 12])
+    def test_truncated_header(self, tmp_path, magic, missing):
+        path, read, header = self._valid(tmp_path, magic)
+        path.write_bytes(path.read_bytes()[: header - missing])
+        with pytest.raises(FormatError, match="truncated before header"):
+            read(path)
+
+    def test_bad_magic(self, tmp_path, magic):
+        path, read, _ = self._valid(tmp_path, magic)
+        path.write_bytes(b"EVT1" + path.read_bytes()[4:])
+        with pytest.raises(FormatError, match="magic"):
+            read(path)
+
+    @pytest.mark.parametrize("change", [-4, -1, 1, 4])
+    def test_payload_size_mismatch(self, tmp_path, magic, change):
+        path, read, _ = self._valid(tmp_path, magic)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
+        with pytest.raises(FormatError, match="payload size"):
+            read(path)
+
+
+# Reader, writer of a small valid file, and the file's header length.
+_FUZZ_FORMATS = {
+    "EVT1": (read_evt1, write_evt1, EventStream([1, 3], [2, 0], [5, 9], [1, -1], 4, 3, 0, 9), 16),
+    "VOX1": (read_vox1, write_vox1, np.ones((2, 2, 3)), 16),
+    "FLO1": (read_flo1, write_flo1, np.ones((2, 3, 2)), 12),
+    "MSH1": (read_msh1, write_msh1, np.ones((2, 3, 2)), 12),
+    "PGM": (read_pgm, write_pgm, np.ones((2, 3)), 13),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_FUZZ_FORMATS))
+@settings(max_examples=50, deadline=None)
+@given(
+    mode=st.sampled_from(["random", "truncate", "header", "anywhere"]),
+    noise=st.binary(max_size=40),
+    cut=st.integers(0, 200),
+)
+def test_readers_raise_only_format_error(tmp_path_factory, fmt, mode, noise, cut):
+    """Random bytes, truncations and corrupted valid files: return or FormatError."""
+    read, write, value, header = _FUZZ_FORMATS[fmt]
+    path = tmp_path_factory.mktemp("fuzz") / "input.bin"
+    write(path, value)
+    blob = path.read_bytes()
+    if mode == "random":
+        blob = noise
+    elif mode == "truncate":
+        blob = blob[: cut % len(blob)]
+    else:
+        # Keep the magic so the checks behind it see the corruption.
+        lo = 4 if mode == "header" else 4 + cut % (len(blob) - 4)
+        hi = header if mode == "header" else len(blob)
+        patch = noise[: hi - lo]
+        blob = blob[:lo] + patch + blob[lo + len(patch) :]
+    path.write_bytes(blob)
+    try:
+        read(path)
+    except FormatError:
+        pass
 
 
 class TestPpmAndColor:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evmeshflow import (
     DataError,
@@ -39,6 +41,32 @@ def _candidates(vectors):
         values[0, 0, k] = vec
     counts = np.array([[len(vectors)]])
     return VertexCandidates(values, counts)
+
+
+def _loop_candidates(flow, spec):
+    """Plain-loop propagate: slot oy * 4 + ox of vertex (vy, vx) holds the
+    center-pixel flow of cell (vy - 2 + oy, vx - 2 + ox), NaN off the grid."""
+    px, py = cell_center_pixels(spec, *flow.shape[:2])
+    values = np.full((spec.vertices_y, spec.vertices_x, 16, 2), np.nan)
+    for vy in range(spec.vertices_y):
+        for vx in range(spec.vertices_x):
+            for oy in range(4):
+                for ox in range(4):
+                    cy, cx = vy - 2 + oy, vx - 2 + ox
+                    if 0 <= cy < spec.cells_y and 0 <= cx < spec.cells_x:
+                        values[vy, vx, oy * 4 + ox] = flow[py[cy], px[cx]]
+    return values
+
+
+def _loop_f2(mesh):
+    """Plain-loop f2: median over the 3x3 window truncated at the border."""
+    out = np.empty_like(mesh)
+    for vy in range(mesh.shape[0]):
+        for vx in range(mesh.shape[1]):
+            window = mesh[max(vy - 1, 0) : vy + 2, max(vx - 1, 0) : vx + 2]
+            out[vy, vx] = np.median(window.reshape(-1, 2), axis=0)
+    return out
+
 
 
 class TestSpecAndCenters:
@@ -103,6 +131,26 @@ class TestPropagate:
         assert got == want
 
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        cells_x=st.integers(1, 6),
+        cells_y=st.integers(1, 6),
+        height=st.integers(1, 40),
+        width=st.integers(1, 40),
+    )
+    @example(seed=1, cells_x=5, cells_y=1, height=13, width=45)
+    @example(seed=2, cells_x=1, cells_y=4, height=28, width=3)
+    @example(seed=3, cells_x=3, cells_y=3, height=9, width=15)
+    def test_slots_match_plain_loop(self, seed, cells_x, cells_y, height, width):
+        flow = seeded_rng(seed).normal(size=(height, width, 2))
+        spec = MeshGridSpec(cells_x, cells_y)
+        cands = propagate(flow, spec)
+        want = _loop_candidates(flow, spec)
+        assert np.array_equal(cands.values, want, equal_nan=True)
+        assert np.array_equal(cands.counts, (~np.isnan(want[..., 0])).sum(axis=2))
+
+
 class TestF1Median:
     def test_empty_vertex_rejected(self):
         with pytest.raises(DataError):
@@ -163,6 +211,15 @@ class TestF2Smooth:
         out = f2_smooth(mesh)
         assert out[..., 0].min() >= mesh[..., 0].min() - 1e-12
         assert out[..., 0].max() <= mesh[..., 0].max() + 1e-12
+
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**31), rows=st.integers(1, 8), cols=st.integers(1, 8))
+    @example(seed=1, rows=1, cols=6)
+    @example(seed=2, rows=5, cols=1)
+    def test_matches_plain_loop(self, seed, rows, cols):
+        mesh = seeded_rng(seed).normal(size=(rows, cols, 2))
+        assert np.array_equal(f2_smooth(mesh), _loop_f2(mesh))
 
 
 class TestExtractMeshflow:
