@@ -10,6 +10,7 @@ sub-threshold residue carries over to later frames instead of being reset.
 """
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -217,25 +218,50 @@ def _check_subsample_args(stream, flow, keep_ratio, tolerance):
     return flow
 
 
+# Candidate (event, seed) pairs tested per chunk; bounds the query's memory.
+_PAIR_BUDGET = 2**14
+
+
 def _near_seed_paths(stream, flow, spacing, tolerance, candidates):
-    """Mask of the candidates within `tolerance` px of a seed path u + s * flow(u)."""
+    """Mask of the candidates within `tolerance` px of a seed path u + s * flow(u).
+
+    With `centre` the per-component midrange of the seed flows and `reach`
+    the largest |flow(u) - centre|, a path u + s * flow(u) stays within
+    s * reach of u + s * centre, so every seed within `tolerance` of an event
+    e at time s lies within tolerance + s * reach of e - s * centre.  One tree
+    over the seed lattice finds those seeds; the exact distance test then
+    decides on them alone.
+    """
+    if np.isinf(tolerance):
+        # Finite flow puts every candidate within reach of some seed.
+        return candidates
     sy, sx = np.mgrid[: stream.height : spacing, : stream.width : spacing].reshape(2, -1)
     seed_pos = np.stack([sx, sy], axis=1).astype(np.float64)
     seed_flow = flow[sy, sx]
+    centre = 0.5 * seed_flow.max(axis=0) + 0.5 * seed_flow.min(axis=0)
+    reach = np.hypot(*(seed_flow - centre).T).max()
 
-    s_norm = _normalized_times(stream)
-    ev_pos = np.stack([stream.x, stream.y], axis=1).astype(np.float64)
-    idx = np.nonzero(candidates)[0]
     keep = np.zeros(len(stream), dtype=bool)
-    # The stream is time-sorted, so each timestamp is one run of candidates,
-    # and the events in it share the advected seed cloud.
-    _, starts = np.unique(stream.t[idx], return_index=True)
-    bounds = np.append(starts, len(idx))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        run = idx[lo:hi]
-        cloud = seed_pos + s_norm[run[0]] * seed_flow
-        dist, _ = cKDTree(cloud).query(ev_pos[run])
-        keep[run] = dist <= tolerance
+    idx = np.nonzero(candidates)[0]
+    s = _normalized_times(stream)[idx]
+    ev_pos = np.stack([stream.x[idx], stream.y[idx]], axis=1).astype(np.float64)
+    query = ev_pos - s[:, None] * centre
+    # The slack only widens the candidate set; exactness rests on the test below.
+    radius = (tolerance + s * reach) * (1 + 1e-9) + 1e-9
+    tree = cKDTree(seed_pos)
+    counts = tree.query_ball_point(query, radius, return_length=True)
+    # Chunks hold about _PAIR_BUDGET pairs each, whatever the flow's spread.
+    chunk = (np.cumsum(counts) - counts) // _PAIR_BUDGET
+    bounds = np.append(np.flatnonzero(np.diff(chunk)) + 1, len(idx))
+    lo = 0
+    for hi in bounds:
+        near = tree.query_ball_point(query[lo:hi], radius[lo:hi])
+        ev = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        seed = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=len(ev))
+        dx = ev_pos[ev, 0] - (seed_pos[seed, 0] + s[ev] * seed_flow[seed, 0])
+        dy = ev_pos[ev, 1] - (seed_pos[seed, 1] + s[ev] * seed_flow[seed, 1])
+        keep[idx[ev[np.sqrt(dx * dx + dy * dy) <= tolerance]]] = True
+        lo = hi
     return keep
 
 

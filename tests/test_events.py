@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evmeshflow import events as events_module
 from evmeshflow import (
     DataError,
     EventStream,
@@ -162,7 +163,7 @@ class TestSimulateOracleEquivalence:
         assert len(stream) > 0
         assert _stream_tuples(stream) == expected
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**31),
         frames=st.integers(2, 6),
@@ -392,3 +393,97 @@ class TestGuidedSubsample:
         got = subsample(stream, flow, keep_ratio, tolerance)
         for field in ("x", "y", "t", "p"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    @_SUBSAMPLERS
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        width=st.integers(8, 24),
+        height=st.integers(8, 24),
+        count=st.integers(1, 40),
+        keep_ratio=st.floats(0.02, 0.4),
+        tolerance=st.sampled_from([0.0, 0.5, 1.0, 2.0**0.5, 2.0]) | st.floats(0.0, 4.0),
+        offset=st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)),
+        spread=st.sampled_from([0.5, 2.0, 6.0]),
+        integer_flow=st.booleans(),
+    )
+    def test_keep_mask_matches_brute_force_where_the_query_prunes(
+        self, subsample, oracle, seed, width, height, count, keep_ratio, tolerance,
+        offset, spread, integer_flow,
+    ):
+        # Sensors of 8-24 px with a constant flow offset of up to 30 px and
+        # spatial variation on top: the seed flows' midrange is far from 0 and
+        # their reach around it is positive, so the ball query around each
+        # event leaves most seeds out and a wrong radius or centre drops
+        # events the oracle keeps.  Half the events sit on a pixel's path
+        # (rounded to the sensor grid), so many are kept; keep_ratio <= 0.4
+        # gives spatial a lattice spacing above 1.
+        rng = seeded_rng(seed)
+        span = int(rng.choice([16, 21]))
+        flow = rng.normal(0.0, spread, size=(height, width, 2)) + offset
+        if integer_flow:
+            flow = np.rint(flow)
+        t = np.sort(rng.integers(0, span + 1, size=count))
+        ux = rng.integers(0, width, size=count)
+        uy = rng.integers(0, height, size=count)
+        on_path = rng.random(count) < 0.5
+        s = t / span
+        x = np.where(on_path, np.rint(ux + s * flow[uy, ux, 0]), rng.integers(0, width, count))
+        y = np.where(on_path, np.rint(uy + s * flow[uy, ux, 1]), rng.integers(0, height, count))
+        stream = EventStream(
+            np.clip(x, 0, width - 1),
+            np.clip(y, 0, height - 1),
+            t,
+            rng.choice([-1, 1], size=count),
+            width,
+            height,
+            0,
+            span,
+        )
+        want = stream.select(oracle(stream, flow, keep_ratio, tolerance))
+        got = subsample(stream, flow, keep_ratio, tolerance)
+        for field in ("x", "y", "t", "p"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    @_SUBSAMPLERS
+    def test_one_tree_per_call(self, subsample, oracle, monkeypatch):
+        # The subsamplers look cKDTree up through the events module, so that
+        # wrapping events.cKDTree counts every tree they build.
+        built = []
+        real = events_module.cKDTree
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(events_module, "cKDTree", counting)
+        rng = seeded_rng(31)
+        n = 2000
+        stream = EventStream(
+            rng.integers(0, 32, n), rng.integers(0, 32, n), np.arange(n), np.ones(n),
+            32, 32, 0, n - 1,
+        )
+        flow = rng.normal(3.0, 2.0, size=(32, 32, 2))
+        subsample(stream, flow, 0.25, tolerance=0.5)
+        assert len(np.unique(stream.t)) == n
+        assert len(built) == 1
+
+    def test_infinite_tolerance_at_size(self):
+        # 256x256 sensor with 65536 seeds for temporal and 20000 events at
+        # distinct stamps, flows up to ~100 px: every (event, seed) pair
+        # would be 1.3e9 distance tests.
+        rng = seeded_rng(41)
+        n, size = 20_000, 256
+        t = np.sort(rng.integers(0, 10**6, n))
+        stream = EventStream(
+            rng.integers(0, size, n), rng.integers(0, size, n), t,
+            rng.choice([-1, 1], n), size, size, 0, 10**6,
+        )
+        flow = rng.normal(0.0, 30.0, size=(size, size, 2))
+        spatial = spatial_guided_subsample(stream, flow, 0.25, tolerance=np.inf)
+        assert len(spatial) == n
+        stamps = np.unique(t)
+        k = np.arange(len(stamps))
+        kept = stamps[np.floor(k * 0.5) > np.floor((k - 1) * 0.5)]
+        temporal = temporal_guided_subsample(stream, flow, 0.5, tolerance=np.inf)
+        assert np.array_equal(temporal.t, t[np.isin(t, kept)])

@@ -261,6 +261,38 @@ class TestExtractMeshflow:
         naive = upsample_bilinear(downsample_to_mesh(flow, spec), 64, 64)
         assert epe(robust, background) < epe(naive, background)
 
+    def test_odd_pixel_cells_bias_interior_vertices(self):
+        """Known defect, pinned so that it stays visible.
+
+        `cell_center_pixels` rounds each cell center to a whole pixel.  When
+        cells span an odd number of pixels (3 px rows at 48x64 with 16x16
+        cells) every center sits half a pixel above its real position, so
+        an affine field with d(flow_x)/dy = 0.03 is off by 0.5 * 0.03 px even
+        at vertices 3 or more cells in, where even-pixel cells are exact.
+        Sampling the flow at the real center would fix it, but changes every
+        meshflow artifact.
+        """
+        spec = MeshGridSpec(16, 16)
+
+        def affine_at(x, y):
+            return np.stack([0.01 * x + 0.03 * y + 2.0, -0.02 * x - 1.0], axis=-1)
+
+        def interior_error(h, w):
+            gy, gx = np.mgrid[0:h, 0:w].astype(np.float64)
+            mesh = extract_meshflow(affine_at(gx, gy), spec)
+            vy, vx = np.mgrid[0 : spec.vertices_y, 0 : spec.vertices_x]
+            want = affine_at(vx * (w / spec.cells_x), vy * (h / spec.cells_y))
+            return float(np.hypot(*np.moveaxis(mesh - want, -1, 0))[3:-3, 3:-3].max())
+
+        odd = interior_error(48, 64)
+        even = interior_error(64, 64)
+        print(
+            f"odd-pixel cells: interior vertex error {odd:.3e} px at 48x64, "
+            f"{even:.2e} px at 64x64"
+        )
+        assert even <= 1e-9
+        assert abs(odd - 0.5 * 0.03) <= 1e-9
+
 
 class TestUpsampleBilinear:
     def test_constant_mesh(self):
