@@ -116,6 +116,11 @@ def _us(seconds: np.ndarray) -> np.ndarray:
 def simulate(frames: FrameSequence, threshold: float) -> EventStream:
     """Run the threshold-crossing simulator over a frame sequence.
 
+    Crossings are emitted in rounds (a + pass, then a - pass on the updated
+    reference); a pixel that fires in no pass of a round keeps its
+    reference and so cannot fire later in that interval, so each round
+    tests only the pixels that fired in the one before.
+
     Args:
         frames: positive intensity frames with strictly increasing times.
         threshold: log-intensity contrast step, must be > 0.
@@ -131,31 +136,34 @@ def simulate(frames: FrameSequence, threshold: float) -> EventStream:
     t_end = int(_us(frames.times[-1:])[0])
 
     xs_all, ys_all, ts_all, ps_all = [], [], [], []
-    ref = logs[0].copy()
+    width = frames.width
+    ref = logs[0].ravel().copy()
     for k in range(n - 1):
-        la, lb = logs[k], logs[k + 1]
+        la, lb = logs[k].ravel(), logs[k + 1].ravel()
         ta, tb = float(frames.times[k]), float(frames.times[k + 1])
-        while True:
-            fired = False
+        active = np.arange(ref.size)
+        while active.size:
+            lb_act = lb[active]
+            fired = np.zeros(active.size, dtype=bool)
             for sign in (1, -1):
                 if sign > 0:
-                    mask = lb >= ref + threshold
+                    hit = lb_act >= ref[active] + threshold
                 else:
-                    mask = lb <= ref - threshold
-                if not mask.any():
+                    hit = lb_act <= ref[active] - threshold
+                idx = active[hit]
+                if not idx.size:
                     continue
-                fired = True
-                target = ref[mask] + sign * threshold
-                frac = (target - la[mask]) / (lb[mask] - la[mask])
+                fired |= hit
+                target = ref[idx] + sign * threshold
+                frac = (target - la[idx]) / (lb[idx] - la[idx])
                 te = ta + frac * (tb - ta)
-                iy, ix = np.nonzero(mask)
+                iy, ix = np.divmod(idx, width)
                 xs_all.append(ix)
                 ys_all.append(iy)
                 ts_all.append(te)
                 ps_all.append(np.full(len(ix), sign, dtype=np.int8))
-                ref[mask] = target
-            if not fired:
-                break
+                ref[idx] = target
+            active = active[fired]
 
     if not xs_all:
         empty = np.empty(0, dtype=np.int64)

@@ -38,11 +38,15 @@ def bilinear_sample(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
     fx = x - x0
     fy = y - y0
 
+    # Gathering from the flattened planes keeps the result (C, ...) in C
+    # order; vals[:, y0, x0] would lay it out channel-last.
+    flat = vals.reshape(vals.shape[0], -1)
+    row0, row1 = y0 * width, y1 * width
     out = (
-        vals[:, y0, x0] * (1.0 - fx) * (1.0 - fy)
-        + vals[:, y0, x1] * fx * (1.0 - fy)
-        + vals[:, y1, x0] * (1.0 - fx) * fy
-        + vals[:, y1, x1] * fx * fy
+        np.take(flat, row0 + x0, axis=1) * (1.0 - fx) * (1.0 - fy)
+        + np.take(flat, row0 + x1, axis=1) * fx * (1.0 - fy)
+        + np.take(flat, row1 + x0, axis=1) * (1.0 - fx) * fy
+        + np.take(flat, row1 + x1, axis=1) * fx * fy
     )
     return out[0] if squeeze else out
 

@@ -196,10 +196,10 @@ def flow_between(scene: Scene, t_i: float, t_j: float) -> np.ndarray:
     return np.stack([fx, fy], axis=-1)
 
 
-def velocity_field(scene: Scene, t: float) -> np.ndarray:
-    """Instantaneous pixel velocity (px/s) at every pixel, shape (H, W, 2)."""
-    scene.check_time(t)
-    ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
+def _velocity_at_points(
+    scene: Scene, t: float, xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Instantaneous velocity (px/s) at time t of the scene points at (xs, ys)."""
     if scene.motion.kind == "translation":
         vx, vy = scene.motion.coefficients[:2]
         ax, ay = (
@@ -207,29 +207,47 @@ def velocity_field(scene: Scene, t: float) -> np.ndarray:
             if len(scene.motion.coefficients) == 4
             else (0.0, 0.0)
         )
-        out = np.empty((scene.height, scene.width, 2))
-        out[..., 0] = vx + ax * t
-        out[..., 1] = vy + ay * t
-        return out
+        return np.full_like(xs, vx + ax * t), np.full_like(ys, vy + ay * t)
     # The generator G defines a stationary velocity field on the image:
     # du/dt = G[:2] . [u, 1] - u * (G[2] . [u, 1]).
     g = scene.motion.generator()
     d0 = g[0, 0] * xs + g[0, 1] * ys + g[0, 2]
     d1 = g[1, 0] * xs + g[1, 1] * ys + g[1, 2]
     d2 = g[2, 0] * xs + g[2, 1] * ys + g[2, 2]
-    return np.stack([d0 - xs * d2, d1 - ys * d2], axis=-1)
+    return d0 - xs * d2, d1 - ys * d2
+
+
+def velocity_field(scene: Scene, t: float) -> np.ndarray:
+    """Instantaneous pixel velocity (px/s) at every pixel, shape (H, W, 2)."""
+    scene.check_time(t)
+    ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
+    return np.stack(_velocity_at_points(scene, t, xs, ys), axis=-1)
+
+
+def _audit_points(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels whose velocity and flow norms reach the peak over the image.
+
+    Translation fields are constant, so the 4 corner pixels stand for every
+    pixel.  Affine and homography scenes audit every pixel: under a shear,
+    rounding noise along a tied edge can put the computed peak of an affine
+    flow on a pixel between two corners.
+    """
+    if scene.motion.kind != "translation":
+        ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
+        return xs, ys
+    right, bottom = scene.width - 1.0, scene.height - 1.0
+    return np.array([0.0, right, 0.0, right]), np.array([0.0, 0.0, bottom, bottom])
 
 
 def _peak_speed(scene: Scene, t: float) -> float:
-    vel = velocity_field(scene, t)
-    return float(np.hypot(vel[..., 0], vel[..., 1]).max())
+    vx, vy = _velocity_at_points(scene, t, *_audit_points(scene))
+    return float(np.hypot(vx, vy).max())
 
 
 def _peak_displacement(scene: Scene, t_a: float, t_b: float) -> float:
-    fwd = flow_between(scene, t_a, t_b)
-    bwd = flow_between(scene, t_b, t_a)
-    mag_f = np.hypot(fwd[..., 0], fwd[..., 1]).max()
-    mag_b = np.hypot(bwd[..., 0], bwd[..., 1]).max()
+    xs, ys = _audit_points(scene)
+    mag_f = np.hypot(*flow_at_points(scene, t_a, t_b, xs, ys)).max()
+    mag_b = np.hypot(*flow_at_points(scene, t_b, t_a, xs, ys)).max()
     return float(max(mag_f, mag_b))
 
 
@@ -243,6 +261,10 @@ def adaptive_timestamps(
     the true peak displacement exceeds one pixel (a 1e-9 px allowance
     absorbs float roundoff).  The last interval may be shorter so the final
     timestamp is exactly t_j.  Zero motion yields [t_i, t_j].
+
+    Both audits evaluate the 4 corner pixels of a translation scene, whose
+    velocity and flow are the same at every pixel, and every pixel of an
+    affine or homography scene.
     """
     scene.check_time(t_i)
     scene.check_time(t_j)

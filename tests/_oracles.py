@@ -3,13 +3,16 @@
 These deliberately avoid the vectorized code paths of the package: the
 event oracle walks one pixel at a time, the correlation oracle uses plain
 nested loops, and the subsampling oracles compare every event with every
-seed.  Agreement between the two styles is what the equivalence tests
-assert.
+seed.  The adaptive-sampling audits evaluate every pixel of the dense
+velocity and flow fields.  Agreement between the two styles is what the
+equivalence tests assert.
 """
 
 import math
 
 import numpy as np
+
+from evmeshflow import flow_between, velocity_field
 
 
 def scalar_simulate(values, times, threshold):
@@ -112,3 +115,18 @@ def temporal_keep_mask(stream, flow, keep_ratio, tolerance):
         ],
         dtype=bool,
     )
+
+
+def dense_peak_speed(scene, t):
+    """Peak pixel speed over every pixel of the velocity field."""
+    vel = velocity_field(scene, t)
+    return float(np.hypot(vel[..., 0], vel[..., 1]).max())
+
+
+def dense_peak_displacement(scene, t_a, t_b):
+    """Peak displacement over every pixel of the flow, both directions."""
+    fwd = flow_between(scene, t_a, t_b)
+    bwd = flow_between(scene, t_b, t_a)
+    mag_f = np.hypot(fwd[..., 0], fwd[..., 1]).max()
+    mag_b = np.hypot(bwd[..., 0], bwd[..., 1]).max()
+    return float(max(mag_f, mag_b))

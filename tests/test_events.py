@@ -175,6 +175,34 @@ class TestSimulateOracleEquivalence:
         times = np.cumsum(rng.uniform(0.05, 0.3, size=frames))
         self._compare(values, times, threshold)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        height=st.integers(10, 20),
+        width=st.integers(10, 20),
+        frames=st.integers(3, 6),
+        threshold=st.floats(0.01, 0.3),
+    )
+    def test_property_active_set_shrinks(self, seed, height, width, frames, threshold):
+        """Sensors where pixels stop firing in different rounds of an interval.
+
+        Each moving pixel reverses direction at every frame and steps by
+        0-6 thresholds, so a pixel quiet in one interval fires in the next
+        and long runs of same-sign events occur; a random subset stays
+        static throughout.
+        """
+        rng = seeded_rng(seed)
+        size = (frames - 1, height, width)
+        flips = np.where(np.arange(frames - 1) % 2 == 0, 1.0, -1.0)[:, None, None]
+        heading = rng.choice([-1.0, 1.0], size=(height, width))
+        steps = rng.uniform(0.0, 6.0, size=size) * threshold * flips * heading
+        steps[:, rng.random((height, width)) < 0.3] = 0.0
+        logs = rng.uniform(-1.0, 1.0, size=(height, width)) + np.concatenate(
+            [np.zeros((1, height, width)), np.cumsum(steps, axis=0)]
+        )
+        times = np.cumsum(rng.uniform(0.05, 0.3, size=frames))
+        self._compare(np.exp(logs), times, threshold)
+
     def test_bit_identical_across_runs(self):
         rng = seeded_rng(5)
         values = np.exp(rng.uniform(-1, 1, size=(6, 5, 5)))

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evmeshflow import scene as scene_module
 from evmeshflow import (
     DataError,
     MotionSpec,
@@ -16,6 +19,8 @@ from evmeshflow import (
     seeded_rng,
     velocity_field,
 )
+
+from _oracles import dense_peak_displacement, dense_peak_speed
 
 
 def _translation_scene(vx=2.0, vy=1.0, seed=5, size=16):
@@ -230,6 +235,69 @@ class TestAdaptiveTimestamps:
         scene = _translation_scene(1e6, 0.0)
         with pytest.raises(StepLimitError):
             adaptive_timestamps(scene, 0.0, 1.0, max_steps=50)
+
+
+def _dense_timestamps(scene, t_i, t_j):
+    """adaptive_timestamps with both audits taken over every pixel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scene_module, "_peak_speed", dense_peak_speed)
+        mp.setattr(scene_module, "_peak_displacement", dense_peak_displacement)
+        return adaptive_timestamps(scene, t_i, t_j)
+
+
+_HOMOGRAPHY = (0.02, -0.03, 3.0, 0.03, 0.01, -2.0, 0.0004, -0.0003)
+
+
+class TestAdaptiveAudit:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["translation", "accelerated", "affine"]),
+        width=st.integers(8, 300),
+        height=st.integers(8, 300),
+        velocity=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+        accel=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+        matrix=st.tuples(*[st.floats(-0.02, 0.02)] * 4),
+        t_i=st.floats(0.0, 0.95),
+        frac=st.floats(0.01, 1.0),
+    )
+    def test_property_matches_dense_audit(
+        self, kind, width, height, velocity, accel, matrix, t_i, frac
+    ):
+        if kind == "affine":
+            a11, a12, a21, a22 = matrix
+            motion = MotionSpec("affine", (a11, a12, velocity[0], a21, a22, velocity[1]))
+        else:
+            coeffs = velocity + accel if kind == "accelerated" else velocity
+            motion = MotionSpec("translation", coeffs)
+        scene = Scene(width, height, 0, motion)
+        t_j = min(1.0, t_i + frac * (1.0 - t_i))
+        assert adaptive_timestamps(scene, t_i, t_j) == _dense_timestamps(scene, t_i, t_j)
+
+    @pytest.mark.parametrize(
+        "motion, audited",
+        [
+            (MotionSpec("translation", (7.0, -3.0, 2.0, 1.0)), 4),
+            (MotionSpec("affine", (0.0, 0.09, 2.0, 0.0, 0.0, 3.0)), 20 * 12),
+            (MotionSpec("homography", _HOMOGRAPHY), 20 * 12),
+        ],
+        ids=["translation", "affine", "homography"],
+    )
+    def test_audited_pixel_count(self, monkeypatch, motion, audited):
+        """Translation audits its 4 corners; the other kinds every pixel."""
+        scene = Scene(20, 12, 0, motion)
+        expected = _dense_timestamps(scene, 0.0, 1.0)
+        sizes = []
+        for name in ("flow_at_points", "_velocity_at_points"):
+            real = getattr(scene_module, name)
+
+            def spy(scene, *args, real=real):
+                sizes.append(np.size(args[-1]))
+                return real(scene, *args)
+
+            monkeypatch.setattr(scene_module, name, spy)
+        assert adaptive_timestamps(scene, 0.0, 1.0) == expected
+        assert len(expected) > 2
+        assert sizes and set(sizes) == {audited}
 
 
 class TestHomographyDegeneracy:
