@@ -245,9 +245,6 @@ def _dense_timestamps(scene, t_i, t_j):
         return adaptive_timestamps(scene, t_i, t_j)
 
 
-_HOMOGRAPHY = (0.02, -0.03, 3.0, 0.03, 0.01, -2.0, 0.0004, -0.0003)
-
-
 class TestAdaptiveAudit:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -278,7 +275,10 @@ class TestAdaptiveAudit:
         [
             (MotionSpec("translation", (7.0, -3.0, 2.0, 1.0)), 4),
             (MotionSpec("affine", (0.0, 0.09, 2.0, 0.0, 0.0, 3.0)), 20 * 12),
-            (MotionSpec("homography", _HOMOGRAPHY), 20 * 12),
+            (
+                MotionSpec("homography", (0.02, -0.03, 3.0, 0.03, 0.01, -2.0, 4e-4, -3e-4)),
+                20 * 12,
+            ),
         ],
         ids=["translation", "affine", "homography"],
     )
