@@ -64,8 +64,8 @@ def warp_events(
     if t_j == t_i:
         raise ParameterError("warp interval must have nonzero length")
     factor = (t_ref - stream.t.astype(np.float64)) / float(t_j - t_i)
-    fx = flow[stream.y, stream.x, 0]
-    fy = flow[stream.y, stream.x, 1]
+    pix = stream.y.astype(np.int64) * stream.width + stream.x
+    fx, fy = np.take(flow.reshape(-1, 2), pix, axis=0).T
     return WarpedEvents(
         xw=stream.x + factor * fx,
         yw=stream.y + factor * fy,
@@ -89,27 +89,30 @@ def accumulate_iwe(
         raise ParameterError(f"splat must be one of {SPLAT_MODES}")
     h, w = warped.height, warped.width
     img = np.zeros((h, w))
+    flat = img.reshape(-1)
     weight = warped.p.astype(np.float64) if signed else np.ones(len(warped.p))
     if splat == "nearest":
         xi = np.rint(warped.xw).astype(np.int64)
         yi = np.rint(warped.yw).astype(np.int64)
         ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        np.add.at(img, (yi[ok], xi[ok]), weight[ok])
+        np.add.at(flat, yi[ok] * w + xi[ok], weight[ok])
         return img
     x0 = np.floor(warped.xw).astype(np.int64)
     y0 = np.floor(warped.yw).astype(np.int64)
     fx = warped.xw - x0
     fy = warped.yw - y0
+    # in_x[d] says whether column x0 + d lies on the sensor; in_y likewise.
+    in_x = ((x0 >= 0) & (x0 < w), (x0 >= -1) & (x0 < w - 1))
+    in_y = ((y0 >= 0) & (y0 < h), (y0 >= -1) & (y0 < h - 1))
+    base = y0 * w + x0
     for dx, dy, wgt in (
         (0, 0, (1 - fx) * (1 - fy)),
         (1, 0, fx * (1 - fy)),
         (0, 1, (1 - fx) * fy),
         (1, 1, fx * fy),
     ):
-        xi = x0 + dx
-        yi = y0 + dy
-        ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h) & (wgt > 0)
-        np.add.at(img, (yi[ok], xi[ok]), weight[ok] * wgt[ok])
+        ok = in_x[dx] & in_y[dy] & (wgt > 0)
+        np.add.at(flat, base[ok] + (dy * w + dx), weight[ok] * wgt[ok])
     return img
 
 

@@ -113,6 +113,25 @@ def _us(seconds: np.ndarray) -> np.ndarray:
     return np.rint(np.asarray(seconds, dtype=np.float64) * 1e6).astype(np.int64)
 
 
+def _sorted_events(t, pix, p, width, height, t_start, t_end):
+    """Events (t, flat pixel y*W + x, p) in (t, y, x, p) order, as (x, y, t, p).
+
+    One int64 key ((t - t_start)*H*W + pix)*2 + (p > 0) orders the events;
+    equal keys are equal events, so the sorted key alone gives the arrays.
+    """
+    t_start, t_end, plane = int(t_start), int(t_end), int(width) * int(height)
+    if (t_end - t_start + 1) * 2 * plane > np.iinfo(np.int64).max:
+        raise ParameterError(
+            f"a {t_end - t_start} us span on a {width}x{height} sensor "
+            "overflows the int64 event sort key"
+        )
+    key = ((t - t_start) * plane + pix) * 2 + (p > 0)
+    key.sort()
+    dt, pix = np.divmod(key >> 1, plane)
+    y, x = np.divmod(pix, width)
+    return x, y, dt + t_start, (key & 1).astype(np.int8) * 2 - 1
+
+
 def simulate(frames: FrameSequence, threshold: float) -> EventStream:
     """Run the threshold-crossing simulator over a frame sequence.
 
@@ -127,6 +146,10 @@ def simulate(frames: FrameSequence, threshold: float) -> EventStream:
 
     Returns:
         EventStream sorted by (t, y, x, p), timestamps in microseconds.
+
+    Raises:
+        ParameterError: threshold <= 0, or events were emitted over a span
+            too long for the sort key, (span_us + 1) * 2 * H * W > 2**63 - 1.
     """
     if not threshold > 0.0:
         raise ParameterError("threshold must be positive")
@@ -135,8 +158,7 @@ def simulate(frames: FrameSequence, threshold: float) -> EventStream:
     t_start = int(_us(frames.times[:1])[0])
     t_end = int(_us(frames.times[-1:])[0])
 
-    xs_all, ys_all, ts_all, ps_all = [], [], [], []
-    width = frames.width
+    pix_all, ts_all, ps_all = [], [], []
     ref = logs[0].ravel().copy()
     for k in range(n - 1):
         la, lb = logs[k].ravel(), logs[k + 1].ravel()
@@ -157,28 +179,22 @@ def simulate(frames: FrameSequence, threshold: float) -> EventStream:
                 target = ref[idx] + sign * threshold
                 frac = (target - la[idx]) / (lb[idx] - la[idx])
                 te = ta + frac * (tb - ta)
-                iy, ix = np.divmod(idx, width)
-                xs_all.append(ix)
-                ys_all.append(iy)
+                pix_all.append(idx)
                 ts_all.append(te)
-                ps_all.append(np.full(len(ix), sign, dtype=np.int8))
+                ps_all.append(np.full(len(idx), sign, dtype=np.int8))
                 ref[idx] = target
             active = active[fired]
 
-    if not xs_all:
+    if not pix_all:
         empty = np.empty(0, dtype=np.int64)
         return EventStream(
             empty, empty, empty, empty, frames.width, frames.height, t_start, t_end
         )
-    x = np.concatenate(xs_all)
-    y = np.concatenate(ys_all)
-    t = _us(np.concatenate(ts_all))
-    p = np.concatenate(ps_all)
-    order = np.lexsort((p, x, y, t))
-    return EventStream(
-        x[order], y[order], t[order], p[order],
+    x, y, t, p = _sorted_events(
+        _us(np.concatenate(ts_all)), np.concatenate(pix_all), np.concatenate(ps_all),
         frames.width, frames.height, t_start, t_end,
     )
+    return EventStream(x, y, t, p, frames.width, frames.height, t_start, t_end)
 
 
 def multi_density_sweep(frames: FrameSequence, thresholds) -> list[EventStream]:
@@ -194,13 +210,15 @@ def shuffle_timestamps(stream: EventStream, rng: np.random.Generator) -> EventSt
 
     The result has the same coordinates, polarities, and timestamp multiset
     but no space-time coherence; it serves as a degradation baseline when
-    ranking candidate streams.
+    ranking candidate streams.  Like `simulate`, it raises ParameterError
+    when (t_end - t_start + 1) * 2 * H * W exceeds 2**63 - 1.
     """
-    t = rng.permutation(stream.t)
-    order = np.lexsort((stream.p, stream.x, stream.y, t))
-    return replace(
-        stream, x=stream.x[order], y=stream.y[order], t=t[order], p=stream.p[order]
+    pix = stream.y.astype(np.int64) * stream.width + stream.x
+    x, y, t, p = _sorted_events(
+        rng.permutation(stream.t), pix, stream.p,
+        stream.width, stream.height, stream.t_start, stream.t_end,
     )
+    return replace(stream, x=x, y=y, t=t, p=p)
 
 
 def _normalized_times(stream: EventStream) -> np.ndarray:

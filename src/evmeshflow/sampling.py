@@ -53,7 +53,12 @@ def bilinear_sample(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
 
 
 def bilinear_sample_wrapped(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sample a (H, W) grid at continuous positions with toroidal wrap."""
+    """Sample a (H, W) grid at continuous positions with toroidal wrap.
+
+    ``x`` and ``y`` broadcast against each other; separable (1, W) and
+    (H, 1) positions keep the wrap and floor arithmetic at H + W values,
+    and only the gathers and the blend run at the broadcast shape.
+    """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 2:
         raise ShapeError(f"expected (H, W) values, got {values.shape}")
@@ -70,9 +75,14 @@ def bilinear_sample_wrapped(values: np.ndarray, x: np.ndarray, y: np.ndarray) ->
     x1 = (x0 + 1) % width
     y1 = (y0 + 1) % height
 
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+
+    flat = vals.reshape(-1)
+    row0, row1 = y0 * width, y1 * width
     return (
-        vals[y0, x0] * (1.0 - fx) * (1.0 - fy)
-        + vals[y0, x1] * fx * (1.0 - fy)
-        + vals[y1, x0] * (1.0 - fx) * fy
-        + vals[y1, x1] * fx * fy
+        np.take(flat, row0 + x0) * gx * gy
+        + np.take(flat, row0 + x1) * fx * gy
+        + np.take(flat, row1 + x0) * gx * fy
+        + np.take(flat, row1 + x1) * fx * fy
     )

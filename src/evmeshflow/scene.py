@@ -116,6 +116,13 @@ class Scene:
             )
 
 
+def _pixel_axes(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel coordinates as (H, 1) rows and (1, W) columns that broadcast to (H, W)."""
+    ys = np.arange(height, dtype=np.float64)[:, None]
+    xs = np.arange(width, dtype=np.float64)[None, :]
+    return ys, xs
+
+
 @lru_cache(maxsize=64)
 def _texture(seed: int, height: int, width: int, floor: float) -> np.ndarray:
     """Periodic band-limited texture: a sum of smoothed random octaves.
@@ -124,7 +131,7 @@ def _texture(seed: int, height: int, width: int, floor: float) -> np.ndarray:
     bilinear interpolation, so the sum tiles seamlessly.  Output values
     span exactly [floor, 1].
     """
-    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
+    ys, xs = _pixel_axes(height, width)
     acc = np.zeros((height, width))
     for octave, (size, gain) in enumerate(zip(_OCTAVE_SIZES, _OCTAVE_GAINS)):
         coarse = seeded_rng(seed, octave).standard_normal((size, size))
@@ -143,7 +150,12 @@ def scene_texture(scene: Scene) -> np.ndarray:
 
 
 def _source_coords(scene: Scene, t: float, xs: np.ndarray, ys: np.ndarray):
-    """Texture coordinates that appear at image positions (xs, ys) at time t."""
+    """Texture coordinates that appear at image positions (xs, ys) at time t.
+
+    Translation maps each axis on its own, so (1, W) and (H, 1) inputs give
+    separable (1, W) and (H, 1) coordinates; the matrix kinds broadcast them
+    to (H, W).
+    """
     if scene.motion.kind == "translation":
         ox, oy = scene.motion.offset(t)
         return xs - ox, ys - oy
@@ -160,7 +172,7 @@ def render_frame(scene: Scene, t: float) -> np.ndarray:
     """Render the scene at time t as an (H, W) image in [floor, 1]."""
     scene.check_time(t)
     tex = _texture(scene.texture_seed, scene.height, scene.width, scene.intensity_floor)
-    ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
+    ys, xs = _pixel_axes(scene.height, scene.width)
     sx, sy = _source_coords(scene, t, xs, ys)
     return bilinear_sample_wrapped(tex, sx, sy)
 

@@ -36,15 +36,13 @@ def voxelize(stream: EventStream, bins: int = 5) -> np.ndarray:
     w1 = coord - b0
     w0 = 1.0 - w1
     pol = stream.p.astype(np.float64)
-    np.add.at(grid, (b0, stream.y, stream.x), pol * w0)
-    upper = b0 + 1
-    valid = (upper < bins) & (w1 > 0)
+    plane = stream.height * stream.width
+    flat = grid.reshape(-1)
+    cell = b0 * plane + (stream.y.astype(np.int64) * stream.width + stream.x)
+    np.add.at(flat, cell, pol * w0)
+    valid = (b0 + 1 < bins) & (w1 > 0)
     if valid.any():
-        np.add.at(
-            grid,
-            (upper[valid], stream.y[valid], stream.x[valid]),
-            pol[valid] * w1[valid],
-        )
+        np.add.at(flat, cell[valid] + plane, pol[valid] * w1[valid])
     return grid
 
 

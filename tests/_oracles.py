@@ -1,18 +1,23 @@
 """Independent scalar reference implementations used by the test suite.
 
 These deliberately avoid the vectorized code paths of the package: the
-event oracle walks one pixel at a time, the correlation oracle uses plain
-nested loops, and the subsampling oracles compare every event with every
-seed.  The adaptive-sampling audits evaluate every pixel of the dense
-velocity and flow fields.  Agreement between the two styles is what the
-equivalence tests assert.
+event oracle walks one pixel at a time, the IWE and voxel oracles add one
+event at a time, the correlation oracle uses plain nested loops, and the
+subsampling oracles compare every event with every seed.  The
+adaptive-sampling audits evaluate every pixel of the dense velocity and
+flow fields, and the rendering oracle samples at dense np.mgrid
+coordinates.  Agreement between the two styles is what the equivalence
+tests assert.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
-from evmeshflow import flow_between, velocity_field
+from evmeshflow import flow_between, seeded_rng, velocity_field
+from evmeshflow.sampling import bilinear_sample_wrapped
+from evmeshflow.scene import _OCTAVE_GAINS, _OCTAVE_SIZES
 
 
 def scalar_simulate(values, times, threshold):
@@ -130,3 +135,79 @@ def dense_peak_displacement(scene, t_a, t_b):
     mag_f = np.hypot(fwd[..., 0], fwd[..., 1]).max()
     mag_b = np.hypot(bwd[..., 0], bwd[..., 1]).max()
     return float(max(mag_f, mag_b))
+
+
+def scalar_accumulate_iwe(warped, splat, signed):
+    """IWE built one event at a time, corner by corner in the package's order.
+
+    Each corner (0, 0), (1, 0), (0, 1), (1, 1) takes its pass over all
+    events, so every pixel receives its terms in the same order as in
+    accumulate_iwe; zero-weight corners and off-sensor pixels add nothing.
+    """
+    width, height = warped.width, warped.height
+    img = np.zeros((height, width))
+    events = [
+        (float(xw), float(yw), float(p) if signed else 1.0)
+        for xw, yw, p in zip(warped.xw, warped.yw, warped.p)
+    ]
+    if splat == "nearest":
+        for xw, yw, weight in events:
+            xi, yi = round(xw), round(yw)
+            if 0 <= xi < width and 0 <= yi < height:
+                img[yi, xi] += weight
+        return img
+    for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        for xw, yw, weight in events:
+            x0, y0 = math.floor(xw), math.floor(yw)
+            fx, fy = xw - x0, yw - y0
+            wgt = (fx if dx else 1 - fx) * (fy if dy else 1 - fy)
+            xi, yi = x0 + dx, y0 + dy
+            if 0 <= xi < width and 0 <= yi < height and wgt > 0:
+                img[yi, xi] += weight * wgt
+    return img
+
+
+def scalar_voxelize(stream, bins):
+    """Voxel grid built one event at a time: every lower bin, then every upper one."""
+    grid = np.zeros((bins, stream.height, stream.width))
+    if not len(stream):
+        return grid
+    t0, tn = int(stream.t[0]), int(stream.t[-1])
+    parts = []
+    for x, y, t, p in zip(stream.x, stream.y, stream.t, stream.p):
+        coord = (int(t) - t0) / float(tn - t0) * (bins - 1) if tn > t0 else 0.0
+        b0 = min(max(math.floor(coord), 0), bins - 1)
+        parts.append((int(x), int(y), float(p), b0, coord - b0))
+    for x, y, pol, b0, w1 in parts:
+        grid[b0, y, x] += pol * (1.0 - w1)
+    for x, y, pol, b0, w1 in parts:
+        if b0 + 1 < bins and w1 > 0:
+            grid[b0 + 1, y, x] += pol * w1
+    return grid
+
+
+def dense_texture(seed, height, width, floor):
+    """The scene texture sampled at dense np.mgrid coordinates."""
+    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
+    acc = np.zeros((height, width))
+    for octave, (size, gain) in enumerate(zip(_OCTAVE_SIZES, _OCTAVE_GAINS)):
+        coarse = seeded_rng(seed, octave).standard_normal((size, size))
+        acc += gain * bilinear_sample_wrapped(coarse, xs * size / width, ys * size / height)
+    span = acc.max() - acc.min()
+    if span == 0.0:
+        return np.full((height, width), 0.5 * (floor + 1.0))
+    return floor + (1.0 - floor) * (acc - acc.min()) / span
+
+
+def dense_render(scene, t):
+    """render_frame with every source coordinate computed at full (H, W) size."""
+    tex = dense_texture(scene.texture_seed, scene.height, scene.width, scene.intensity_floor)
+    ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
+    if scene.motion.kind == "translation":
+        ox, oy = scene.motion.offset(t)
+        return bilinear_sample_wrapped(tex, xs - ox, ys - oy)
+    inv = np.linalg.inv(expm(t * scene.motion.generator()))
+    w0 = inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]
+    w1 = inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]
+    w2 = inv[2, 0] * xs + inv[2, 1] * ys + inv[2, 2]
+    return bilinear_sample_wrapped(tex, w0 / w2, w1 / w2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evmeshflow import (
     EventStream,
@@ -21,6 +23,8 @@ from evmeshflow import (
     two_sided_score,
     warp_events,
 )
+
+from _oracles import scalar_accumulate_iwe
 
 
 def _stream(x, y, t, p, width=8, height=8, span=(0, 1_000_000)):
@@ -74,6 +78,18 @@ class TestWarpEvents:
         warped = warp_events(stream, flow, 1_000_000, 0, 1_000_000)
         assert warped.xw[0] > 7
         assert not warped.on_sensor[0]
+
+    def test_flow_read_at_each_event_pixel(self):
+        # 7 wide, 5 high: a transposed pixel index reads the wrong flow.
+        rng = seeded_rng(4)
+        t = np.sort(rng.integers(0, 1_000_000, size=300))
+        x, y = rng.integers(0, 7, size=300), rng.integers(0, 5, size=300)
+        stream = _stream(x, y, t, rng.choice([-1, 1], size=300), width=7, height=5)
+        flow = rng.standard_normal((5, 7, 2))
+        warped = warp_events(stream, flow, 400_000, 0, 1_000_000)
+        factor = (400_000 - t.astype(np.float64)) / 1_000_000.0
+        assert warped.xw.tobytes() == (x + factor * flow[y, x, 0]).tobytes()
+        assert warped.yw.tobytes() == (y + factor * flow[y, x, 1]).tobytes()
 
 
 class TestAccumulateIwe:
@@ -132,6 +148,56 @@ class TestAccumulateIwe:
         )
         assert accumulate_iwe(warped, signed=True)[1, 1] == pytest.approx(0.0)
         assert accumulate_iwe(warped, signed=False)[1, 1] == pytest.approx(2.0)
+
+
+@st.composite
+def _warped_events(draw):
+    """Events on, at the edge of and off a small non-square sensor.
+
+    A third of the coordinates are whole numbers, so some corners get zero
+    weight; the last row and column and positions just outside are drawn
+    on purpose.
+    """
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+
+    def coord(size):
+        return st.one_of(
+            st.integers(-2, size + 1).map(float),
+            st.sampled_from([size - 1.0, size - 1.5, size - 0.5, -0.5, -1e-9]),
+            st.floats(-3.0, size + 2.0, allow_nan=False),
+        )
+
+    n = draw(st.integers(0, 40))
+    xw = draw(st.lists(coord(width), min_size=n, max_size=n))
+    yw = draw(st.lists(coord(height), min_size=n, max_size=n))
+    p = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return WarpedEvents(
+        np.array(xw, dtype=np.float64),
+        np.array(yw, dtype=np.float64),
+        np.array(p, dtype=np.int8),
+        width,
+        height,
+        0.0,
+    )
+
+
+class TestAccumulateIweOracle:
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    @pytest.mark.parametrize("splat", ["bilinear", "nearest"])
+    @settings(max_examples=80, deadline=None)
+    @given(warped=_warped_events())
+    def test_matches_scalar_oracle_bytes(self, splat, signed, warped):
+        img = accumulate_iwe(warped, splat=splat, signed=signed)
+        assert img.tobytes() == scalar_accumulate_iwe(warped, splat, signed).tobytes()
+
+    @pytest.mark.parametrize("splat", ["bilinear", "nearest"])
+    def test_scene_stream_matches_scalar_oracle_bytes(self, splat):
+        # 32x32 translation stream, warped to both ends: many events share pixels.
+        _, stream, flow = _scene_stream()
+        for t_ref in (stream.t_start, stream.t_end):
+            warped = warp_events(stream, flow, t_ref, stream.t_start, stream.t_end)
+            img = accumulate_iwe(warped, splat=splat)
+            assert img.tobytes() == scalar_accumulate_iwe(warped, splat, False).tobytes()
 
 
 class TestContrast:

@@ -215,6 +215,97 @@ class TestSimulateOracleEquivalence:
         assert np.array_equal(a.p, b.p)
 
 
+def _lexsorted(x, y, t, p):
+    """(x, y, t, p) reordered by np.lexsort on (t, y, x, p)."""
+    order = np.lexsort((p, x, y, t))
+    return x[order], y[order], t[order], p[order]
+
+
+def _stream_bytes(stream):
+    return [a.tobytes() for a in (stream.x, stream.y, stream.t, stream.p)]
+
+
+class TestEventOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        width=st.integers(1, 5),
+        height=st.integers(1, 5),
+        n=st.integers(0, 400),
+        span=st.integers(0, 6),
+    )
+    def test_shuffle_matches_lexsort_reference(self, seed, width, height, n, span):
+        # Few pixels and stamps: most (t, y, x, p) tuples repeat.
+        rng = seeded_rng(seed)
+        t = np.sort(rng.integers(100, 101 + span, size=n))
+        x, y = rng.integers(0, width, size=n), rng.integers(0, height, size=n)
+        stream = EventStream(
+            x, y, t, rng.choice([-1, 1], size=n), width, height, 100, 100 + span
+        )
+        shuffled = shuffle_timestamps(stream, seeded_rng(seed, 1))
+        t_ref = seeded_rng(seed, 1).permutation(stream.t)
+        x_ref, y_ref, t_ref, p_ref = _lexsorted(stream.x, stream.y, t_ref, stream.p)
+        assert _stream_bytes(shuffled) == [
+            a.tobytes() for a in (x_ref, y_ref, t_ref, p_ref)
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        width=st.integers(1, 4),
+        height=st.integers(1, 4),
+        frames=st.integers(2, 5),
+        threshold=st.floats(0.05, 0.5),
+    )
+    def test_simulate_matches_lexsort_reference(self, seed, width, height, frames, threshold):
+        """Frames 1 us apart with steps of several thresholds.
+
+        Crossings of one interval round to one or two microsecond stamps, so
+        a pixel emits equal (t, y, x, p) tuples; two grey levels make whole
+        rows of pixels fire together.
+        """
+        rng = seeded_rng(seed)
+        levels = rng.choice([-1.0, 1.0], size=(frames, 2)) * rng.uniform(
+            0.0, 4.0, size=(frames, 2)
+        ) * threshold
+        values = np.exp(levels[:, rng.integers(0, 2, size=(height, width))])
+        times = 2.0 + np.arange(frames) * 1e-6
+        stream = simulate(FrameSequence(values, times), threshold)
+        perm = rng.permutation(len(stream))
+        reference = _lexsorted(stream.x[perm], stream.y[perm], stream.t[perm], stream.p[perm])
+        assert _stream_bytes(stream) == [a.tobytes() for a in reference]
+        assert _stream_tuples(stream) == scalar_simulate(values, times, threshold)
+
+    def test_repeated_tuples_survive_the_sort(self):
+        # 3.5 thresholds within 1 us: crossings at 0.29, 0.57 and 0.86 us.
+        values = np.exp(np.array([0.0, 3.5 * 0.2]).reshape(2, 1, 1) * np.ones((1, 2, 3)))
+        stream = simulate(FrameSequence(values, [0.0, 1e-6]), 0.2)
+        assert _stream_tuples(stream) == [
+            (t, y, x, 1) for t in (0, 1) for y in range(2) for x in range(3) for _ in range(1 + t)
+        ]
+
+
+class TestSortKeyGuard:
+    def test_simulate_span_overflowing_the_key_raises(self):
+        # (1e17 + 1) us * 2 * 64 pixels > 2**63 - 1.
+        values = np.ones((2, 8, 8))
+        values[1] = np.exp(0.5)
+        with pytest.raises(ParameterError):
+            simulate(FrameSequence(values, [0.0, 1e11]), 0.2)
+
+    def test_shuffle_largest_span_that_fits(self):
+        # On 8x8 the key holds spans up to 2**56 - 2 us; one more overflows.
+        limit = 2**56 - 2
+        stream = EventStream([7, 0], [7, 0], [0, limit], [1, -1], 8, 8, 0, limit)
+        shuffled = shuffle_timestamps(stream, seeded_rng(0))
+        t_ref = seeded_rng(0).permutation(stream.t)
+        reference = _lexsorted(stream.x, stream.y, t_ref, stream.p)
+        assert _stream_bytes(shuffled) == [a.tobytes() for a in reference]
+        too_long = EventStream([7, 0], [7, 0], [0, limit], [1, -1], 8, 8, 0, limit + 1)
+        with pytest.raises(ParameterError):
+            shuffle_timestamps(too_long, seeded_rng(0))
+
+
 class TestMultiDensitySweep:
     def _frames(self):
         scene = Scene(16, 16, 4, MotionSpec("translation", (6.0, 2.0)))

@@ -20,7 +20,7 @@ from evmeshflow import (
     velocity_field,
 )
 
-from _oracles import dense_peak_displacement, dense_peak_speed
+from _oracles import dense_peak_displacement, dense_peak_speed, dense_render, dense_texture
 
 
 def _translation_scene(vx=2.0, vy=1.0, seed=5, size=16):
@@ -99,6 +99,12 @@ class TestTexture:
         assert tex.min() == pytest.approx(scene.intensity_floor)
         assert tex.max() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("height, width", [(8, 13), (21, 9), (16, 16)])
+    def test_matches_dense_texture_bytes(self, height, width):
+        scene = Scene(width, height, 4, MotionSpec("translation", (1.0, 0.0)))
+        expected = dense_texture(4, height, width, scene.intensity_floor)
+        assert scene_texture(scene).tobytes() == expected.tobytes()
+
     def test_rng_streams_are_independent(self):
         a = seeded_rng(3, 0).standard_normal(8)
         b = seeded_rng(3, 1).standard_normal(8)
@@ -127,6 +133,40 @@ class TestRenderFrame:
         frame = render_frame(scene, 0.4)
         assert frame.min() >= scene.intensity_floor - 1e-12
         assert frame.max() <= 1.0 + 1e-12
+
+
+class TestRenderOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["translation", "accelerated", "affine", "homography"]),
+        width=st.integers(8, 40),
+        extra=st.integers(1, 30),
+        tall=st.booleans(),
+        seed=st.integers(0, 2**16),
+        velocity=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
+        matrix=st.tuples(*[st.floats(-0.05, 0.05)] * 4),
+        projective=st.tuples(st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3)),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_matches_dense_render_bytes(
+        self, kind, width, extra, tall, seed, velocity, matrix, projective, t
+    ):
+        # Never square, so a transposed (H, 1) / (1, W) pair cannot pass.
+        height = width + extra
+        if not tall:
+            width, height = height, width
+        a11, a12, a21, a22 = matrix
+        affine = (a11, a12, velocity[0], a21, a22, velocity[1])
+        motion = {
+            "translation": MotionSpec("translation", velocity),
+            "accelerated": MotionSpec("translation", velocity + (a11 * 400, a22 * 400)),
+            "affine": MotionSpec("affine", affine),
+            "homography": MotionSpec("homography", affine + projective),
+        }[kind]
+        scene = Scene(width, height, seed, motion)
+        frame = render_frame(scene, t)
+        assert frame.shape == (height, width)
+        assert frame.tobytes() == dense_render(scene, t).tobytes()
 
 
 class TestFlowBetween:

@@ -12,6 +12,8 @@ from evmeshflow import (
     voxelize,
 )
 
+from _oracles import scalar_voxelize
+
 
 def _stream(x, y, t, p, width=4, height=4):
     t = np.asarray(t, dtype=np.int64)
@@ -92,6 +94,37 @@ class TestVoxelize:
         rng = seeded_rng(3)
         grid = voxelize(_random_stream(rng), 5)
         assert np.isfinite(grid).all()
+
+
+@st.composite
+def _tied_streams(draw):
+    """Sorted streams on a small non-square sensor with many repeated stamps.
+
+    Stamps come from a short range so that events tie in t, share pixels and
+    land exactly on bin centres; the last row and column are drawn often.
+    """
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    n = draw(st.integers(0, 60))
+    t_start = draw(st.integers(0, 50))
+    span = draw(st.sampled_from([0, 1, 4, 8, 12, 1000, 999_983]))
+    t = sorted(draw(st.lists(st.integers(0, span), min_size=n, max_size=n)))
+    x = draw(st.lists(st.sampled_from([0, width - 1, width // 2]), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, height - 1), min_size=n, max_size=n))
+    p = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    t = np.asarray(t, dtype=np.int64) + t_start
+    return EventStream(x, y, t, p, width, height, t_start, t_start + span)
+
+
+class TestVoxelizeOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(stream=_tied_streams(), bins=st.integers(1, 9))
+    def test_matches_scalar_oracle_bytes(self, stream, bins):
+        assert voxelize(stream, bins).tobytes() == scalar_voxelize(stream, bins).tobytes()
+
+    def test_random_stream_matches_scalar_oracle_bytes(self):
+        stream = _random_stream(seeded_rng(8), n=2000, width=9, height=5)
+        for bins in (1, 2, 5):
+            assert voxelize(stream, bins).tobytes() == scalar_voxelize(stream, bins).tobytes()
 
 
 class TestDensity:
