@@ -51,14 +51,12 @@ from .io import (
     read_flo1,
     read_msh1,
     read_pgm,
-    read_vox1,
     write_csv_rows,
     write_evt1,
     write_flo1,
     write_msh1,
     write_pgm,
     write_ppm,
-    write_vox1,
 )
 from .fusion import (
     DEFAULT_ALPHA,

@@ -21,8 +21,8 @@ SPLAT_MODES = ("bilinear", "nearest")
 class WarpedEvents:
     """Continuous event positions after transport to a reference time.
 
-    Positions may leave the sensor; ``on_sensor`` flags the ones that can
-    still contribute mass when rasterized.
+    Positions may leave the sensor; rasterizing discards the mass that
+    lands off it.
     """
 
     xw: np.ndarray
@@ -31,15 +31,6 @@ class WarpedEvents:
     width: int
     height: int
     t_ref: float
-
-    @property
-    def on_sensor(self) -> np.ndarray:
-        return (
-            (self.xw >= 0)
-            & (self.xw <= self.width - 1)
-            & (self.yw >= 0)
-            & (self.yw <= self.height - 1)
-        )
 
 
 def warp_events(
@@ -76,26 +67,22 @@ def warp_events(
     )
 
 
-def accumulate_iwe(
-    warped: WarpedEvents, splat: str = "bilinear", signed: bool = False
-) -> np.ndarray:
+def accumulate_iwe(warped: WarpedEvents, splat: str = "bilinear") -> np.ndarray:
     """Rasterize warped events into an (H, W) image of event counts.
 
     Bilinear splatting spreads each unit of mass over the four neighboring
-    pixels; mass falling outside the sensor is discarded.  With
-    signed=True, polarity weights the contribution instead of unit counts.
+    pixels; mass falling outside the sensor is discarded.
     """
     if splat not in SPLAT_MODES:
         raise ParameterError(f"splat must be one of {SPLAT_MODES}")
     h, w = warped.height, warped.width
     img = np.zeros((h, w))
     flat = img.reshape(-1)
-    weight = warped.p.astype(np.float64) if signed else np.ones(len(warped.p))
     if splat == "nearest":
         xi = np.rint(warped.xw).astype(np.int64)
         yi = np.rint(warped.yw).astype(np.int64)
         ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        np.add.at(flat, yi[ok] * w + xi[ok], weight[ok])
+        np.add.at(flat, yi[ok] * w + xi[ok], 1.0)
         return img
     x0 = np.floor(warped.xw).astype(np.int64)
     y0 = np.floor(warped.yw).astype(np.int64)
@@ -112,7 +99,7 @@ def accumulate_iwe(
         (1, 1, fx * fy),
     ):
         ok = in_x[dx] & in_y[dy] & (wgt > 0)
-        np.add.at(flat, base[ok] + (dy * w + dx), weight[ok] * wgt[ok])
+        np.add.at(flat, base[ok] + (dy * w + dx), wgt[ok])
     return img
 
 

@@ -13,8 +13,6 @@ import numpy as np
 from .errors import DataError, ParameterError, ShapeError
 from .sampling import bilinear_sample
 
-NORMALIZE_MODES = ("offsets", "channels")
-
 
 def dilated_mask(radius: int) -> np.ndarray:
     """Boolean (2r+1, 2r+1) mask of active search offsets."""
@@ -92,20 +90,16 @@ def correlate(
     feat_a: np.ndarray,
     feat_b: np.ndarray,
     grid: SearchGrid,
-    normalize: str = "offsets",
 ) -> CostVolume:
     """Inner products of feat_a(u) with feat_b(u + d) over active offsets.
 
     Out-of-bounds samples of feat_b act as zero features.  Scores divide
-    by the number of active offsets ("offsets", default) or by the channel
-    count ("channels").
+    by the number of active offsets.
     """
-    if normalize not in NORMALIZE_MODES:
-        raise ParameterError(f"normalize must be one of {NORMALIZE_MODES}")
     feat_a, feat_b = _check_features(feat_a, feat_b)
-    channels, height, width = feat_a.shape
+    _, height, width = feat_a.shape
     offsets = grid.offsets
-    denom = float(len(offsets)) if normalize == "offsets" else float(channels)
+    denom = float(len(offsets))
     scores = np.zeros((len(offsets), height, width))
     for m, (dx, dy) in enumerate(offsets):
         ay_lo, ay_hi = max(0, -dy), min(height, height - dy)

@@ -21,8 +21,6 @@ DEFAULT_XI = 1e-3
 DEFAULT_LAMBDA_MDC = 0.1
 DEFAULT_LAMBDA_MDS = 10.0
 
-CORRECTION_MODES = ("warp", "add")
-
 
 def _check_field(field: np.ndarray, name: str = "flow") -> np.ndarray:
     field = np.asarray(field, dtype=np.float64)
@@ -91,32 +89,25 @@ def cdc_fuse(
     delta: np.ndarray,
     attention: AttentionOperator,
     alpha: float = DEFAULT_ALPHA,
-    correction: str = "warp",
 ) -> np.ndarray:
     """Blend a displaced copy of the flow with its attention average.
 
-    The correction re-samples flow_bar at u + delta(u) ("warp", default)
-    or simply adds delta ("add"); the result is
+    The correction re-samples flow_bar at u + delta(u); the result is
     alpha * corrected + (1 - alpha) * attention(flow_bar).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError("alpha must lie in [0, 1]")
-    if correction not in CORRECTION_MODES:
-        raise ParameterError(f"correction must be one of {CORRECTION_MODES}")
     flow_bar = _check_field(flow_bar)
     delta = _check_field(delta, "delta")
     if delta.shape != flow_bar.shape:
         raise ShapeError("delta shape must match flow_bar")
-    if correction == "add":
-        corrected = flow_bar + delta
-    else:
-        height, width = flow_bar.shape[:2]
-        gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
-        sx = gx + delta[..., 0]
-        sy = gy + delta[..., 1]
-        corrected = np.stack(
-            [bilinear_sample(flow_bar[..., c], sx, sy) for c in (0, 1)], axis=-1
-        )
+    height, width = flow_bar.shape[:2]
+    gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
+    sx = gx + delta[..., 0]
+    sy = gy + delta[..., 1]
+    corrected = np.stack(
+        [bilinear_sample(flow_bar[..., c], sx, sy) for c in (0, 1)], axis=-1
+    )
     return alpha * corrected + (1.0 - alpha) * attention.apply(flow_bar)
 
 

@@ -26,6 +26,7 @@ _EVT1_RECORD = np.dtype(
         "itemsize": 16,
     }
 )
+_F32_HEADER = struct.Struct("<4s2I")  # magic, then two uint32 dims
 
 
 def write_evt1(path, stream: EventStream) -> None:
@@ -76,36 +77,32 @@ def read_evt1(path) -> EventStream:
 
 def _write_f32(path, magic: bytes, dims, values) -> None:
     """Write magic, uint32 dims, then values as little-endian float32."""
+    with np.errstate(over="ignore"):
+        data = np.ascontiguousarray(values, dtype="<f4")
+    if not np.isfinite(data).all():
+        raise DataError(f"{magic.decode()} values must be finite float32")
     with open(path, "wb") as fh:
-        fh.write(struct.pack(f"<4s{len(dims)}I", magic, *dims))
-        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+        fh.write(_F32_HEADER.pack(magic, *dims))
+        fh.write(data.tobytes())
 
 
-def _read_f32(path, magic: bytes, ndims: int, shape_of) -> np.ndarray:
-    """Read a _write_f32 container; shape_of maps the header dims to a shape."""
+def _read_f32(path, magic: bytes, shape_of) -> np.ndarray:
+    """Read a _write_f32 container; shape_of maps the 2 header dims to a shape."""
     name = magic.decode()
     blob = Path(path).read_bytes()
-    offset = 4 + 4 * ndims
-    if len(blob) < offset:
+    if len(blob) < _F32_HEADER.size:
         raise FormatError(f"{name} file truncated before header")
-    if blob[:4] != magic:
-        raise FormatError(f"bad {name} magic {blob[:4]!r}")
-    shape = shape_of(*struct.unpack_from(f"<{ndims}I", blob, 4))
-    body = blob[offset:]
+    found, *dims = _F32_HEADER.unpack_from(blob)
+    if found != magic:
+        raise FormatError(f"bad {name} magic {found!r}")
+    shape = shape_of(*dims)
+    body = blob[_F32_HEADER.size :]
     if len(body) != 4 * math.prod(shape):
         raise FormatError(f"{name} payload size mismatch")
-    return np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(shape)
-
-
-def write_vox1(path, grid: np.ndarray) -> None:
-    grid = np.asarray(grid)
-    if grid.ndim != 3:
-        raise ShapeError(f"expected (B, H, W) grid, got {grid.shape}")
-    _write_f32(path, b"VOX1", grid.shape, grid)
-
-
-def read_vox1(path) -> np.ndarray:
-    return _read_f32(path, b"VOX1", 3, lambda *dims: dims)
+    values = np.frombuffer(body, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise FormatError(f"{name} values must be finite")
+    return values.astype(np.float64).reshape(shape)
 
 
 def write_flo1(path, flow: np.ndarray) -> None:
@@ -117,7 +114,7 @@ def write_flo1(path, flow: np.ndarray) -> None:
 
 
 def read_flo1(path) -> np.ndarray:
-    return _read_f32(path, b"FLO1", 2, lambda width, height: (height, width, 2))
+    return _read_f32(path, b"FLO1", lambda width, height: (height, width, 2))
 
 
 def write_msh1(path, mesh: np.ndarray) -> None:
@@ -132,7 +129,7 @@ def write_msh1(path, mesh: np.ndarray) -> None:
 
 
 def read_msh1(path) -> np.ndarray:
-    mesh = _read_f32(path, b"MSH1", 2, lambda cx, cy: (cy + 1, cx + 1, 2))
+    mesh = _read_f32(path, b"MSH1", lambda cx, cy: (cy + 1, cx + 1, 2))
     if min(mesh.shape[:2]) < 2:
         raise FormatError("MSH1 mesh needs at least one cell per axis")
     return mesh
@@ -195,17 +192,19 @@ def _color_wheel() -> np.ndarray:
     return np.array(wheel)
 
 
-def flow_to_color(flow: np.ndarray, max_mag: float | None = None) -> np.ndarray:
-    """Map a flow field to the standard hue wheel, returning (H, W, 3) u8."""
+def flow_to_color(flow: np.ndarray) -> np.ndarray:
+    """Map a flow field to the standard hue wheel, returning (H, W, 3) u8.
+
+    Saturation scales with magnitude relative to the field's own peak.
+    """
     flow = np.asarray(flow, dtype=np.float64)
     if flow.ndim != 3 or flow.shape[2] != 2:
         raise ShapeError(f"expected (H, W, 2) flow, got {flow.shape}")
     u = flow[..., 0]
     v = flow[..., 1]
     mag = np.hypot(u, v)
-    if max_mag is None:
-        max_mag = float(mag.max())
-    scale = max_mag if max_mag > 0 else 1.0
+    peak = float(mag.max())
+    scale = peak if peak > 0 else 1.0
     mag = np.clip(mag / scale, 0.0, 1.0)
     wheel = _color_wheel()
     ncols = len(wheel)

@@ -137,8 +137,8 @@ def dense_peak_displacement(scene, t_a, t_b):
     return float(max(mag_f, mag_b))
 
 
-def scalar_accumulate_iwe(warped, splat, signed):
-    """IWE built one event at a time, corner by corner in the package's order.
+def scalar_accumulate_iwe(warped, splat):
+    """IWE of unit event counts, built one event at a time in the package's order.
 
     Each corner (0, 0), (1, 0), (0, 1), (1, 1) takes its pass over all
     events, so every pixel receives its terms in the same order as in
@@ -146,24 +146,21 @@ def scalar_accumulate_iwe(warped, splat, signed):
     """
     width, height = warped.width, warped.height
     img = np.zeros((height, width))
-    events = [
-        (float(xw), float(yw), float(p) if signed else 1.0)
-        for xw, yw, p in zip(warped.xw, warped.yw, warped.p)
-    ]
+    events = [(float(xw), float(yw)) for xw, yw in zip(warped.xw, warped.yw)]
     if splat == "nearest":
-        for xw, yw, weight in events:
+        for xw, yw in events:
             xi, yi = round(xw), round(yw)
             if 0 <= xi < width and 0 <= yi < height:
-                img[yi, xi] += weight
+                img[yi, xi] += 1.0
         return img
     for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        for xw, yw, weight in events:
+        for xw, yw in events:
             x0, y0 = math.floor(xw), math.floor(yw)
             fx, fy = xw - x0, yw - y0
             wgt = (fx if dx else 1 - fx) * (fy if dy else 1 - fy)
             xi, yi = x0 + dx, y0 + dy
             if 0 <= xi < width and 0 <= yi < height and wgt > 0:
-                img[yi, xi] += weight * wgt
+                img[yi, xi] += wgt
     return img
 
 
@@ -184,6 +181,39 @@ def scalar_voxelize(stream, bins):
         if b0 + 1 < bins and w1 > 0:
             grid[b0 + 1, y, x] += pol * w1
     return grid
+
+
+def scalar_bilinear_sample(values, xs, ys, wrap):
+    """Bilinear samples of a (H, W) grid, one position at a time.
+
+    Clamped (wrap=False) positions clip to the grid and read edge values;
+    wrapped ones reduce modulo the grid size. Each sample sums its four
+    corners in the package's term and operand order, so the result must
+    match bilinear_sample and bilinear_sample_wrapped byte for byte.
+    """
+    height, width = values.shape
+    out = []
+    for x, y in zip(xs, ys):
+        x, y = float(x), float(y)
+        if wrap:
+            x, y = x % width, y % height
+            x0, y0 = math.floor(x), math.floor(y)
+            fx, fy = x - x0, y - y0
+            x0, y0 = x0 % width, y0 % height
+            x1, y1 = (x0 + 1) % width, (y0 + 1) % height
+        else:
+            x, y = min(max(x, 0.0), width - 1.0), min(max(y, 0.0), height - 1.0)
+            x0, y0 = math.floor(x), math.floor(y)
+            x1, y1 = min(x0 + 1, width - 1), min(y0 + 1, height - 1)
+            fx, fy = x - x0, y - y0
+        gx, gy = 1.0 - fx, 1.0 - fy
+        out.append(
+            float(values[y0, x0]) * gx * gy
+            + float(values[y0, x1]) * fx * gy
+            + float(values[y1, x0]) * gx * fy
+            + float(values[y1, x1]) * fx * fy
+        )
+    return np.array(out, dtype=np.float64)
 
 
 def dense_texture(seed, height, width, floor):

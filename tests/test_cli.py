@@ -279,6 +279,21 @@ class TestMeshflow:
         assert code == 1
         assert stderr.startswith("error [load]:")
 
+    def test_non_finite_flow_fails_in_load_stage(self, tmp_path, capsys):
+        # A NaN at one cell centre would otherwise vanish in the vertex median.
+        values = np.ones((32, 32, 2), dtype="<f4")
+        values[8, 8, 0] = np.nan
+        bad = tmp_path / "nan.flo1"
+        bad.write_bytes(
+            b"FLO1" + np.array([32, 32], dtype="<u4").tobytes() + values.tobytes()
+        )
+        code, _, stderr = _run(
+            capsys, "meshflow", "--out", tmp_path / "out", f"flow={bad}", "cells=8"
+        )
+        assert code == 1
+        assert stderr.startswith("error [load]:")
+        assert "finite" in stderr
+
     def test_missing_flow_key(self, tmp_path, capsys):
         code, _, stderr = _run(capsys, "meshflow", "--out", tmp_path / "out")
         assert code == 1

@@ -104,14 +104,6 @@ class TestCdcFuse:
         expected = 0.6 * warped + 0.4 * op.apply(flow)
         assert np.allclose(out, expected, atol=1e-6)
 
-    def test_additive_correction_mode(self):
-        rng = seeded_rng(5)
-        flow = rng.normal(size=(4, 4, 2))
-        delta = rng.normal(size=(4, 4, 2))
-        op = AttentionOperator.identity(3, 4, 4)
-        out = cdc_fuse(flow, delta, op, alpha=1.0, correction="add")
-        assert np.allclose(out, flow + delta)
-
     def test_constant_field_preserved_for_any_alpha(self):
         flow = np.full((4, 4, 2), -1.25)
         op = _uniform_attention(5, 4, 4)
@@ -124,8 +116,6 @@ class TestCdcFuse:
         op = AttentionOperator.identity(3, 4, 4)
         with pytest.raises(ParameterError):
             cdc_fuse(flow, flow, op, alpha=1.5)
-        with pytest.raises(ParameterError):
-            cdc_fuse(flow, flow, op, correction="multiply")
         with pytest.raises(ShapeError):
             cdc_fuse(flow, np.zeros((5, 5, 2)), op)
 

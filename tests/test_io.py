@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmeshflow import (
+    DataError,
     EventStream,
     FormatError,
     ParameterError,
@@ -15,7 +16,6 @@ from evmeshflow import (
     read_flo1,
     read_msh1,
     read_pgm,
-    read_vox1,
     seeded_rng,
     write_csv_rows,
     write_evt1,
@@ -23,7 +23,6 @@ from evmeshflow import (
     write_msh1,
     write_pgm,
     write_ppm,
-    write_vox1,
 )
 
 
@@ -129,44 +128,6 @@ class TestEvt1:
         write_evt1(path, stream)
         back = read_evt1(path)
         assert back.width == 65535 and back.x[0] == 65534
-
-
-class TestVox1:
-    def test_roundtrip(self, tmp_path):
-        grid = seeded_rng(1).normal(size=(5, 6, 7)).astype(np.float32)
-        path = tmp_path / "grid.vox1"
-        write_vox1(path, grid)
-        back = read_vox1(path)
-        assert back.shape == (5, 6, 7)
-        assert np.allclose(back, grid, atol=1e-7)
-
-    def test_header_stores_bins_height_width(self, tmp_path):
-        path = tmp_path / "grid.vox1"
-        write_vox1(path, np.zeros((2, 3, 5)))
-        blob = path.read_bytes()
-        assert blob[:4] == b"VOX1"
-        bins, height, width = np.frombuffer(blob[4:16], dtype="<u4")
-        assert (bins, height, width) == (2, 3, 5)
-
-    def test_shape_validation(self, tmp_path):
-        with pytest.raises(ShapeError):
-            write_vox1(tmp_path / "x.vox1", np.zeros((4, 4)))
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.vox1"
-        write_vox1(path, np.zeros((1, 2, 2)))
-        blob = bytearray(path.read_bytes())
-        blob[:4] = b"XXXX"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError):
-            read_vox1(path)
-
-    def test_size_mismatch(self, tmp_path):
-        path = tmp_path / "short.vox1"
-        write_vox1(path, np.zeros((2, 3, 3)))
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(FormatError):
-            read_vox1(path)
 
 
 class TestFlo1:
@@ -276,7 +237,6 @@ class TestPgm:
 
 
 _CONTAINERS = {
-    "VOX1": (write_vox1, read_vox1, np.zeros((2, 3, 4)), 16),
     "FLO1": (write_flo1, read_flo1, np.zeros((3, 4, 2)), 12),
     "MSH1": (write_msh1, read_msh1, np.zeros((3, 4, 2)), 12),
 }
@@ -311,11 +271,29 @@ class TestFloat32Containers:
         with pytest.raises(FormatError, match="payload size"):
             read(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_writer_rejects_non_finite(self, tmp_path, magic, bad):
+        write, _, values, _ = _CONTAINERS[magic]
+        values = values.copy()
+        values[1, 2, 0] = bad
+        path = tmp_path / "data.bin"
+        with pytest.raises(DataError, match="finite"):
+            write(path, values)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_reader_rejects_non_finite(self, tmp_path, magic, bad):
+        path, read, header = self._valid(tmp_path, magic)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, header + 4, bad)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="finite"):
+            read(path)
+
 
 # Reader, writer of a small valid file, and the file's header length.
 _FUZZ_FORMATS = {
     "EVT1": (read_evt1, write_evt1, EventStream([1, 3], [2, 0], [5, 9], [1, -1], 4, 3, 0, 9), 16),
-    "VOX1": (read_vox1, write_vox1, np.ones((2, 2, 3)), 16),
     "FLO1": (read_flo1, write_flo1, np.ones((2, 3, 2)), 12),
     "MSH1": (read_msh1, write_msh1, np.ones((2, 3, 2)), 12),
     "PGM": (read_pgm, write_pgm, np.ones((2, 3)), 13),
@@ -330,7 +308,10 @@ _FUZZ_FORMATS = {
     cut=st.integers(0, 200),
 )
 def test_readers_raise_only_format_error(tmp_path_factory, fmt, mode, noise, cut):
-    """Random bytes, truncations and corrupted valid files: return or FormatError."""
+    """Random bytes, truncations and corrupted valid files: return or FormatError.
+
+    A float32 container that does load holds only finite values.
+    """
     read, write, value, header = _FUZZ_FORMATS[fmt]
     path = tmp_path_factory.mktemp("fuzz") / "input.bin"
     write(path, value)
@@ -347,9 +328,11 @@ def test_readers_raise_only_format_error(tmp_path_factory, fmt, mode, noise, cut
         blob = blob[:lo] + patch + blob[lo + len(patch) :]
     path.write_bytes(blob)
     try:
-        read(path)
+        value = read(path)
     except FormatError:
-        pass
+        return
+    if fmt in _CONTAINERS:
+        assert np.isfinite(value).all()
 
 
 class TestPpmAndColor:
@@ -388,12 +371,6 @@ class TestPpmAndColor:
         rgb = flow_to_color(flow)
         colors = {tuple(c) for c in rgb[0]}
         assert len(colors) == 4
-
-    def test_explicit_max_mag_normalization(self):
-        flow = np.full((2, 2, 2), 3.0)
-        a = flow_to_color(flow)
-        b = flow_to_color(flow, max_mag=float(np.hypot(3, 3)))
-        assert np.array_equal(a, b)
 
 
 class TestCsv:
