@@ -108,7 +108,9 @@ def correlate(
             continue
         a = feat_a[:, ay_lo:ay_hi, ax_lo:ax_hi]
         b = feat_b[:, ay_lo + dy : ay_hi + dy, ax_lo + dx : ax_hi + dx]
-        scores[m, ay_lo:ay_hi, ax_lo:ax_hi] = (a * b).sum(axis=0) / denom
+        # einsum sums a[c] * b[c] per pixel in channel order from 0.0, like
+        # naive_correlate, without a (C, H', W') product temporary.
+        scores[m, ay_lo:ay_hi, ax_lo:ax_hi] = np.einsum("chw,chw->hw", a, b) / denom
     return CostVolume(scores, offsets, grid.radius)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .sampling import bilinear_sample
+from .sampling import _sample_channels_last
 from .voxel import density
 
 DEFAULT_ALPHA = 0.6
@@ -105,9 +105,7 @@ def cdc_fuse(
     gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
     sx = gx + delta[..., 0]
     sy = gy + delta[..., 1]
-    corrected = np.stack(
-        [bilinear_sample(flow_bar[..., c], sx, sy) for c in (0, 1)], axis=-1
-    )
+    corrected = _sample_channels_last(flow_bar, sx, sy)
     return alpha * corrected + (1.0 - alpha) * attention.apply(flow_bar)
 
 
@@ -141,9 +139,7 @@ def upsample_flow_bilinear(flow: np.ndarray, factor: int) -> np.ndarray:
     height, width = flow.shape[:2]
     xs = (np.arange(width * factor) + 0.5) / factor - 0.5
     ys = (np.arange(height * factor) + 0.5) / factor - 0.5
-    gx, gy = np.meshgrid(xs, ys)
-    comps = [bilinear_sample(flow[..., c], gx, gy) * factor for c in (0, 1)]
-    return np.stack(comps, axis=-1)
+    return _sample_channels_last(flow, xs[None, :], ys[:, None]) * factor
 
 
 def _check_grid(grid: np.ndarray, name: str) -> np.ndarray:

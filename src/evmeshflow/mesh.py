@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParameterError, ShapeError
-from .sampling import bilinear_sample
+from .sampling import _sample_channels_last, bilinear_sample
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,24 @@ def propagate(flow: np.ndarray, spec: MeshGridSpec) -> VertexCandidates:
     return VertexCandidates(values, counts)
 
 
+def _nanmedian(values: np.ndarray) -> np.ndarray:
+    """np.nanmedian(values, axis=2), byte for byte, without masked arrays.
+
+    Below 600 slots np.nanmedian goes through np.ma.median, which sorts
+    each slice with NaN filled as +inf, sums its two middle entries with
+    np.sum and halves the sum.  That sum starts from 0.0, so any pair of
+    zeros gives +0.0 and the order of -0.0 and +0.0 ties cannot show.
+    Slices without a non-NaN value give NaN.
+    """
+    missing = np.isnan(values)
+    count = values.shape[2] - np.count_nonzero(missing, axis=2)
+    ordered = np.sort(np.where(missing, np.inf, values), axis=2)
+    middle = np.stack([(count - 1) // 2, count // 2], axis=2)
+    median = np.sum(np.take_along_axis(ordered, middle, axis=2), axis=2) / 2.0
+    median[count == 0] = np.nan
+    return median
+
+
 def f1_median(candidates: VertexCandidates) -> np.ndarray:
     """Componentwise median over each vertex's candidate list.
 
@@ -122,7 +140,7 @@ def f1_median(candidates: VertexCandidates) -> np.ndarray:
     """
     if np.any(candidates.counts == 0):
         raise DataError("a vertex has no motion candidates")
-    return np.nanmedian(candidates.values, axis=2)
+    return _nanmedian(candidates.values)
 
 
 def f2_smooth(mesh: np.ndarray) -> np.ndarray:
@@ -131,7 +149,7 @@ def f2_smooth(mesh: np.ndarray) -> np.ndarray:
     Windows are truncated at the mesh border rather than padded.
     """
     mesh = _check_flow(mesh)
-    return np.nanmedian(_windows(mesh, 3), axis=2)
+    return _nanmedian(_windows(mesh, 3))
 
 
 def extract_meshflow(flow: np.ndarray, spec: MeshGridSpec = MeshGridSpec()) -> np.ndarray:
@@ -158,9 +176,7 @@ def upsample_bilinear(mesh: np.ndarray, height: int, width: int) -> np.ndarray:
         raise ShapeError("mesh needs at least 2 vertices per axis")
     xs = np.arange(width) * (cells_x / width)
     ys = np.arange(height) * (cells_y / height)
-    gx, gy = np.meshgrid(xs, ys)
-    comps = [bilinear_sample(mesh[..., c], gx, gy) for c in (0, 1)]
-    return np.stack(comps, axis=-1)
+    return _sample_channels_last(mesh, xs[None, :], ys[:, None])
 
 
 def downsample_to_mesh(flow: np.ndarray, spec: MeshGridSpec = MeshGridSpec()) -> np.ndarray:
@@ -172,9 +188,7 @@ def downsample_to_mesh(flow: np.ndarray, spec: MeshGridSpec = MeshGridSpec()) ->
     height, width = flow.shape[:2]
     vx_pos = np.arange(spec.vertices_x) * (width / spec.cells_x)
     vy_pos = np.arange(spec.vertices_y) * (height / spec.cells_y)
-    gx, gy = np.meshgrid(vx_pos, vy_pos)
-    comps = [bilinear_sample(flow[..., c], gx, gy) for c in (0, 1)]
-    return np.stack(comps, axis=-1)
+    return _sample_channels_last(flow, vx_pos[None, :], vy_pos[:, None])
 
 
 def backward_warp(image: np.ndarray, flow: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from evmeshflow import (
     CostVolume,
@@ -127,7 +130,7 @@ class TestCorrelate:
         grid = SearchGrid.dilated(2)
         vol = correlate(feat_a, feat_b, grid)
         expected = naive_correlate(feat_a, feat_b, grid.offsets, grid.active_count)
-        assert np.allclose(vol.scores, expected, atol=1e-6)
+        assert vol.scores.tobytes() == expected.tobytes()
 
     def test_full_grid_matches_oracle(self):
         rng = seeded_rng(3)
@@ -136,7 +139,28 @@ class TestCorrelate:
         grid = SearchGrid.full(2)
         vol = correlate(feat_a, feat_b, grid)
         expected = naive_correlate(feat_a, feat_b, grid.offsets, grid.active_count)
-        assert np.allclose(vol.scores, expected, atol=1e-6)
+        assert vol.scores.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), radius=st.integers(0, 4), full=st.booleans())
+    def test_matches_naive_oracle_bytes(self, data, radius, full):
+        # Integer values make products of zero and a negative number, so a
+        # sum that starts from its first term instead of 0.0 shows as -0.0;
+        # non-integer values show a fused multiply-add or another order.
+        shape = data.draw(
+            st.tuples(st.integers(1, 6), st.integers(1, 9), st.integers(1, 9))
+        )
+        value = st.one_of(
+            st.integers(-3, 3).map(float),
+            st.just(-0.0),
+            st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+        )
+        feat_a = data.draw(arrays(np.float64, shape, elements=value))
+        feat_b = data.draw(arrays(np.float64, shape, elements=value))
+        grid = SearchGrid.full(radius) if full else SearchGrid.dilated(radius)
+        vol = correlate(feat_a, feat_b, grid)
+        expected = naive_correlate(feat_a, feat_b, grid.offsets, grid.active_count)
+        assert vol.scores.tobytes() == expected.tobytes()
 
     def test_offset_normalization_ratio(self):
         rng = seeded_rng(5)

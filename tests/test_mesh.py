@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from evmeshflow import (
     DataError,
@@ -25,6 +28,9 @@ from evmeshflow import (
     seeded_rng,
     upsample_bilinear,
 )
+from evmeshflow.mesh import _nanmedian
+
+from _oracles import scalar_bilinear_sample
 
 
 def _constant_flow(h, w, u, v):
@@ -187,6 +193,34 @@ class TestF1Median:
         assert np.all(mesh <= hi + 1e-12)
 
 
+_ALL_NAN = np.full((1, 2, 5, 2), np.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 16), st.just(2)),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf]),
+            st.floats(-1e3, 1e3, allow_nan=False),
+        ),
+    )
+)
+@example(values=_ALL_NAN)
+@example(values=np.array([-0.0, -0.0, 0.0, np.nan, -0.0, 0.0]).reshape(1, 1, 3, 2))
+@example(values=np.array([np.inf, np.nan, np.inf, 1.0, np.nan, -np.inf]).reshape(1, 1, 3, 2))
+def test_nanmedian_matches_numpy_bytes(values):
+    # np.nanmedian warns on all-NaN slices and both warn where +inf and
+    # -inf are the middle pair; pytest would turn either into an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.nanmedian(values, axis=2)
+        got = _nanmedian(values)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestF2Smooth:
     def test_constant_mesh_unchanged(self):
         mesh = _constant_flow(5, 5, 1.5, -0.5)
@@ -317,6 +351,28 @@ class TestUpsampleBilinear:
         for i in range(16):
             for j in range(16):
                 assert np.allclose(dense[4 * i, 4 * j], mesh[i, j], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "height, width, cells_x, cells_y", [(23, 37, 5, 3), (30, 19, 4, 7)]
+    )
+    def test_matches_per_component_scalar_oracle_bytes(
+        self, height, width, cells_x, cells_y
+    ):
+        mesh = seeded_rng(17).normal(size=(cells_y + 1, cells_x + 1, 2))
+        dense = upsample_bilinear(mesh, height, width)
+        gx, gy = np.meshgrid(
+            np.arange(width) * (cells_x / width), np.arange(height) * (cells_y / height)
+        )
+        want = np.stack(
+            [
+                scalar_bilinear_sample(mesh[..., c], gx.ravel(), gy.ravel(), False)
+                for c in (0, 1)
+            ],
+            axis=-1,
+        ).reshape(height, width, 2)
+        assert dense.dtype == np.float64 and dense.shape == (height, width, 2)
+        assert dense.flags.c_contiguous
+        assert dense.tobytes() == want.tobytes()
 
     def test_dimension_validation(self):
         with pytest.raises(ParameterError):

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import scalar_bilinear_sample
-from evmeshflow import seeded_rng
+from evmeshflow import (
+    AttentionOperator,
+    MeshGridSpec,
+    cdc_fuse,
+    downsample_to_mesh,
+    seeded_rng,
+    upsample_flow_bilinear,
+)
 from evmeshflow.sampling import bilinear_sample, bilinear_sample_wrapped
 
 
@@ -12,7 +19,6 @@ from evmeshflow.sampling import bilinear_sample, bilinear_sample_wrapped
 def test_channel_stack_is_c_contiguous_and_equals_per_channel(positions):
     """(C, H, W) input samples to a C-ordered stack of the 2-D samples."""
     rng = seeded_rng(3)
-    values = rng.standard_normal((5, 23, 31))
     if positions == "grid":
         gy, gx = np.mgrid[0:23, 0:31].astype(np.float64)
         x, y = gx + rng.uniform(-3, 3, (23, 31)), gy + rng.uniform(-3, 3, (23, 31))
@@ -20,11 +26,54 @@ def test_channel_stack_is_c_contiguous_and_equals_per_channel(positions):
         x, y = rng.uniform(-2, 33, (1, 40)), rng.uniform(-2, 25, (17, 1))
     else:
         x, y = rng.uniform(-2, 33, 50), rng.uniform(-2, 25, 50)
-    out = bilinear_sample(values, x, y)
-    assert out.flags.c_contiguous
-    expected = np.stack([bilinear_sample(plane, x, y) for plane in values])
-    assert out.shape == expected.shape
-    assert out.tobytes() == expected.tobytes()
+    for channels in (5, 32):
+        values = rng.standard_normal((channels, 23, 31))
+        out = bilinear_sample(values, x, y)
+        assert out.flags.c_contiguous
+        expected = np.stack([bilinear_sample(plane, x, y) for plane in values])
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+
+def _per_component(field, x, y):
+    """One bilinear_sample per flow component, stacked channels last."""
+    return np.stack([bilinear_sample(field[..., c], x, y) for c in (0, 1)], axis=-1)
+
+
+@pytest.mark.parametrize("height, width", [(23, 37), (40, 17)])
+def test_one_call_field_sampling_equals_per_component_bytes(height, width):
+    """Sites that sample both flow components in one call match two calls."""
+    rng = seeded_rng(11)
+    flow = rng.normal(size=(height, width, 2))
+    spec = MeshGridSpec(5, 3)
+    gx, gy = np.meshgrid(
+        np.arange(spec.vertices_x) * (width / spec.cells_x),
+        np.arange(spec.vertices_y) * (height / spec.cells_y),
+    )
+    want_mesh = _per_component(flow, gx, gy)
+
+    factor = 3
+    gx, gy = np.meshgrid(
+        (np.arange(width * factor) + 0.5) / factor - 0.5,
+        (np.arange(height * factor) + 0.5) / factor - 0.5,
+    )
+    want_up = _per_component(flow, gx, gy) * factor
+
+    delta = rng.uniform(-2, 2, size=(height, width, 2))
+    weights = rng.random((9, height, width))
+    attention = AttentionOperator(3, weights / weights.sum(axis=0))
+    gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
+    warped = _per_component(flow, gx + delta[..., 0], gy + delta[..., 1])
+    alpha = 0.6
+    want_fused = alpha * warped + (1.0 - alpha) * attention.apply(flow)
+
+    for got, want in (
+        (downsample_to_mesh(flow, spec), want_mesh),
+        (upsample_flow_bilinear(flow, factor), want_up),
+        (cdc_fuse(flow, delta, attention, alpha), want_fused),
+    ):
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite
