@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, _check_flow
 from .events import EventStream
 
 SPLAT_MODES = ("bilinear", "nearest")
@@ -46,12 +46,7 @@ def warp_events(
     moves by (t_ref - t) / (t_j - t_i) times the flow at its (integer)
     pixel.  Times are microseconds, matching stream timestamps.
     """
-    flow = np.asarray(flow, dtype=np.float64)
-    if flow.shape != (stream.height, stream.width, 2):
-        raise ShapeError(
-            f"flow shape {flow.shape} does not match sensor "
-            f"({stream.height}, {stream.width}, 2)"
-        )
+    flow = _check_flow(flow, size=(stream.height, stream.width))
     if t_j == t_i:
         raise ParameterError("warp interval must have nonzero length")
     factor = (t_ref - stream.t.astype(np.float64)) / float(t_j - t_i)

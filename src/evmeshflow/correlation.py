@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError, _check_flow
 from .sampling import bilinear_sample
 
 
@@ -74,16 +74,16 @@ class CostVolume:
     radius: int
 
 
-def _check_features(feat_a: np.ndarray, feat_b: np.ndarray):
-    feat_a = np.asarray(feat_a, dtype=np.float64)
-    feat_b = np.asarray(feat_b, dtype=np.float64)
-    if feat_a.ndim != 3 or feat_b.ndim != 3:
+def _check_features(*features: np.ndarray) -> list[np.ndarray]:
+    """One or two (C, H, W) feature stacks as float64; a pair must match."""
+    features = [np.asarray(f, dtype=np.float64) for f in features]
+    if any(f.ndim != 3 for f in features):
         raise ShapeError("features must have shape (C, H, W)")
-    if feat_a.shape != feat_b.shape:
+    if len({f.shape for f in features}) > 1:
         raise ShapeError(
-            f"feature shapes differ: {feat_a.shape} vs {feat_b.shape}"
+            f"feature shapes differ: {features[0].shape} vs {features[1].shape}"
         )
-    return feat_a, feat_b
+    return features
 
 
 def correlate(
@@ -116,12 +116,8 @@ def correlate(
 
 def warp_features(features: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Backward-warp every channel by the flow, clamping at the borders."""
-    features = np.asarray(features, dtype=np.float64)
-    flow = np.asarray(flow, dtype=np.float64)
-    if features.ndim != 3:
-        raise ShapeError("features must have shape (C, H, W)")
-    if flow.shape != features.shape[1:] + (2,):
-        raise ShapeError("flow shape must be (H, W, 2) matching the features")
+    (features,) = _check_features(features)
+    flow = _check_flow(flow, size=features.shape[1:])
     height, width = features.shape[1:]
     gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
     return bilinear_sample(features, gx + flow[..., 0], gy + flow[..., 1])
@@ -129,9 +125,7 @@ def warp_features(features: np.ndarray, flow: np.ndarray) -> np.ndarray:
 
 def average_pool(features: np.ndarray, factor: int) -> np.ndarray:
     """Mean-pool (C, H, W) features by an integer factor per axis."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 3:
-        raise ShapeError("features must have shape (C, H, W)")
+    (features,) = _check_features(features)
     if factor < 1:
         raise ParameterError("pool factor must be >= 1")
     channels, height, width = features.shape

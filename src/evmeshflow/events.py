@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError, _check_flow
 from .scene import Scene, render_frame
 
 
@@ -229,14 +229,7 @@ def _normalized_times(stream: EventStream) -> np.ndarray:
 
 
 def _check_subsample_args(stream, flow, keep_ratio, tolerance):
-    flow = np.asarray(flow, dtype=np.float64)
-    if flow.shape != (stream.height, stream.width, 2):
-        raise ShapeError(
-            f"flow shape {flow.shape} does not match sensor "
-            f"({stream.height}, {stream.width}, 2)"
-        )
-    if not np.all(np.isfinite(flow)):
-        raise DataError("flow must be finite")
+    flow = _check_flow(flow, size=(stream.height, stream.width))
     if not 0.0 < keep_ratio <= 1.0:
         raise ParameterError("keep_ratio must lie in (0, 1]")
     if not tolerance >= 0.0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError, _check_flow
 from .sampling import _sample_channels_last
 from .voxel import density
 
@@ -20,13 +20,6 @@ DEFAULT_ALPHA = 0.6
 DEFAULT_XI = 1e-3
 DEFAULT_LAMBDA_MDC = 0.1
 DEFAULT_LAMBDA_MDS = 10.0
-
-
-def _check_field(field: np.ndarray, name: str = "flow") -> np.ndarray:
-    field = np.asarray(field, dtype=np.float64)
-    if field.ndim != 3 or field.shape[2] != 2:
-        raise ShapeError(f"expected (H, W, 2) {name}, got {field.shape}")
-    return field
 
 
 @dataclass
@@ -64,10 +57,8 @@ class AttentionOperator:
         return cls(window, weights)
 
     def apply(self, field: np.ndarray) -> np.ndarray:
-        field = _check_field(field)
+        field = _check_flow(field, size=self.weights.shape[1:])
         height, width = field.shape[:2]
-        if self.weights.shape[1:] != (height, width):
-            raise ShapeError("attention weights do not match the field size")
         half = self.window // 2
         out = np.zeros_like(field)
         ys = np.arange(height)
@@ -97,10 +88,8 @@ def cdc_fuse(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError("alpha must lie in [0, 1]")
-    flow_bar = _check_field(flow_bar)
-    delta = _check_field(delta, "delta")
-    if delta.shape != flow_bar.shape:
-        raise ShapeError("delta shape must match flow_bar")
+    flow_bar = _check_flow(flow_bar)
+    delta = _check_flow(delta, "delta", flow_bar.shape[:2])
     height, width = flow_bar.shape[:2]
     gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
     sx = gx + delta[..., 0]
@@ -113,10 +102,8 @@ def confidence_fuse(
     flow_bar: np.ndarray, flow_tilde: np.ndarray, confidence: np.ndarray
 ) -> np.ndarray:
     """Per-pixel convex blend: conf * flow_bar + (1 - conf) * flow_tilde."""
-    flow_bar = _check_field(flow_bar)
-    flow_tilde = _check_field(flow_tilde, "corrected flow")
-    if flow_tilde.shape != flow_bar.shape:
-        raise ShapeError("flow fields must share a shape")
+    flow_bar = _check_flow(flow_bar)
+    flow_tilde = _check_flow(flow_tilde, "corrected flow", flow_bar.shape[:2])
     confidence = np.asarray(confidence, dtype=np.float64)
     if confidence.shape != flow_bar.shape[:2]:
         raise ShapeError("confidence must be (H, W) matching the flow")
@@ -133,7 +120,7 @@ def upsample_flow_bilinear(flow: np.ndarray, factor: int) -> np.ndarray:
     convention; displacement vectors multiply by the factor so they stay
     meaningful at the finer resolution.
     """
-    flow = _check_field(flow)
+    flow = _check_flow(flow)
     if factor < 1:
         raise ParameterError("factor must be >= 1")
     height, width = flow.shape[:2]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParameterError, ShapeError
+from .errors import DataError, FormatError, ParameterError, ShapeError, _check_flow
 from .events import EventStream
 
 _EVT1_HEADER = struct.Struct("<4sHHQ")
@@ -106,9 +106,7 @@ def _read_f32(path, magic: bytes, shape_of) -> np.ndarray:
 
 
 def write_flo1(path, flow: np.ndarray) -> None:
-    flow = np.asarray(flow)
-    if flow.ndim != 3 or flow.shape[2] != 2:
-        raise ShapeError(f"expected (H, W, 2) flow, got {flow.shape}")
+    flow = _check_flow(flow)
     height, width = flow.shape[:2]
     _write_f32(path, b"FLO1", (width, height), flow)
 
@@ -118,9 +116,7 @@ def read_flo1(path) -> np.ndarray:
 
 
 def write_msh1(path, mesh: np.ndarray) -> None:
-    mesh = np.asarray(mesh)
-    if mesh.ndim != 3 or mesh.shape[2] != 2:
-        raise ShapeError(f"expected (Vy, Vx, 2) mesh, got {mesh.shape}")
+    mesh = _check_flow(mesh, "mesh")
     cells_y = mesh.shape[0] - 1
     cells_x = mesh.shape[1] - 1
     if cells_x < 1 or cells_y < 1:
@@ -197,9 +193,7 @@ def flow_to_color(flow: np.ndarray) -> np.ndarray:
 
     Saturation scales with magnitude relative to the field's own peak.
     """
-    flow = np.asarray(flow, dtype=np.float64)
-    if flow.ndim != 3 or flow.shape[2] != 2:
-        raise ShapeError(f"expected (H, W, 2) flow, got {flow.shape}")
+    flow = _check_flow(flow)
     u = flow[..., 0]
     v = flow[..., 1]
     mag = np.hypot(u, v)

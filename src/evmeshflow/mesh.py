@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError, _check_flow
 from .sampling import _sample_channels_last, bilinear_sample
 
 
@@ -59,13 +59,6 @@ class VertexCandidates:
     def at(self, vy: int, vx: int) -> np.ndarray:
         vals = self.values[vy, vx]
         return vals[~np.isnan(vals[:, 0])]
-
-
-def _check_flow(flow: np.ndarray) -> np.ndarray:
-    flow = np.asarray(flow, dtype=np.float64)
-    if flow.ndim != 3 or flow.shape[2] != 2:
-        raise ShapeError(f"expected (H, W, 2) flow, got {flow.shape}")
-    return flow
 
 
 def cell_center_pixels(spec: MeshGridSpec, height: int, width: int):
@@ -148,7 +141,7 @@ def f2_smooth(mesh: np.ndarray) -> np.ndarray:
 
     Windows are truncated at the mesh border rather than padded.
     """
-    mesh = _check_flow(mesh)
+    mesh = _check_flow(mesh, "mesh")
     return _nanmedian(_windows(mesh, 3))
 
 
@@ -166,7 +159,7 @@ def extract_meshflow(flow: np.ndarray, spec: MeshGridSpec = MeshGridSpec()) -> n
 
 def upsample_bilinear(mesh: np.ndarray, height: int, width: int) -> np.ndarray:
     """Interpolate a vertex mesh back to a dense (H, W, 2) flow field."""
-    mesh = _check_flow(mesh)
+    mesh = _check_flow(mesh, "mesh")
     if height < 1 or width < 1:
         raise ParameterError("target dimensions must be positive")
     vy_n, vx_n = mesh.shape[:2]
@@ -194,11 +187,9 @@ def downsample_to_mesh(flow: np.ndarray, spec: MeshGridSpec = MeshGridSpec()) ->
 def backward_warp(image: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Sample image at u + flow(u) for every pixel u, clamping at edges."""
     image = np.asarray(image, dtype=np.float64)
-    flow = _check_flow(flow)
     if image.ndim != 2:
         raise ShapeError(f"expected (H, W) image, got {image.shape}")
-    if flow.shape[:2] != image.shape:
-        raise ShapeError("flow and image dimensions differ")
+    flow = _check_flow(flow, size=image.shape)
     height, width = image.shape
     gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
     return bilinear_sample(image, gx + flow[..., 0], gy + flow[..., 1])

@@ -2,16 +2,12 @@
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, _check_flow
 
 
 def _check_pair(pred: np.ndarray, gt: np.ndarray, mask=None):
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.ndim != 3 or pred.shape[2] != 2:
-        raise ShapeError(f"expected (H, W, 2) flow, got {pred.shape}")
-    if pred.shape != gt.shape:
-        raise ShapeError(f"flow shapes differ: {pred.shape} vs {gt.shape}")
+    pred = _check_flow(pred, "predicted flow")
+    gt = _check_flow(gt, "ground-truth flow", pred.shape[:2])
     if mask is None:
         mask = np.ones(pred.shape[:2], dtype=bool)
     else:

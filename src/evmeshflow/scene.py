@@ -66,11 +66,21 @@ class MotionSpec:
         if not all(math.isfinite(c) for c in self.coefficients):
             raise ParameterError("motion coefficients must be finite")
 
-    def offset(self, t: float) -> tuple[float, float]:
-        """Translation offset at time t (translation kind only)."""
+    def _translation(self) -> tuple[float, float, float, float]:
+        """(vx, vy, ax, ay); a translation without acceleration has a = 0."""
         vx, vy = self.coefficients[:2]
         ax, ay = (self.coefficients[2:] if len(self.coefficients) == 4 else (0.0, 0.0))
+        return vx, vy, ax, ay
+
+    def offset(self, t: float) -> tuple[float, float]:
+        """Translation offset at time t (translation kind only)."""
+        vx, vy, ax, ay = self._translation()
         return (vx * t + 0.5 * ax * t * t, vy * t + 0.5 * ay * t * t)
+
+    def velocity(self, t: float) -> tuple[float, float]:
+        """Translation velocity at time t (translation kind only)."""
+        vx, vy, ax, ay = self._translation()
+        return (vx + ax * t, vy + ay * t)
 
     def generator(self) -> np.ndarray:
         """3x3 velocity-field generator (matrix kinds only)."""
@@ -213,13 +223,8 @@ def _velocity_at_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Instantaneous velocity (px/s) at time t of the scene points at (xs, ys)."""
     if scene.motion.kind == "translation":
-        vx, vy = scene.motion.coefficients[:2]
-        ax, ay = (
-            scene.motion.coefficients[2:]
-            if len(scene.motion.coefficients) == 4
-            else (0.0, 0.0)
-        )
-        return np.full_like(xs, vx + ax * t), np.full_like(ys, vy + ay * t)
+        vx, vy = scene.motion.velocity(t)
+        return np.full_like(xs, vx), np.full_like(ys, vy)
     # The generator G defines a stationary velocity field on the image:
     # du/dt = G[:2] . [u, 1] - u * (G[2] . [u, 1]).
     g = scene.motion.generator()
