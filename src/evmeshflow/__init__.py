@@ -22,7 +22,6 @@ from .cmax import (
 from .correlation import (
     CostVolume,
     SearchGrid,
-    average_pool,
     correlate,
     dilated_mask,
     warp_features,
@@ -93,9 +92,7 @@ from .scene import (
     flow_at_points,
     flow_between,
     render_frame,
-    scene_texture,
     seeded_rng,
-    velocity_field,
 )
 from .voxel import density, voxelize
 

@@ -239,7 +239,6 @@ def cmd_select(cfg, out: Path, seed: int) -> int:
         if not paths:
             raise ParameterError("at least one candidate stream required")
         flow_path = Path(_require(cfg, "flow"))
-        splat = cfg.get("splat", "bilinear")
     with _stage("load"):
         candidates = [io.read_evt1(p) for p in paths]
         flow = io.read_flo1(flow_path)
@@ -249,7 +248,7 @@ def cmd_select(cfg, out: Path, seed: int) -> int:
         rows = []
         totals = []
         for k, stream in enumerate(candidates):
-            var_i, var_j = two_sided_components(stream, flow, t_i, t_j, splat=splat)
+            var_i, var_j = two_sided_components(stream, flow, t_i, t_j)
             totals.append(var_i + var_j)
             rows.append([k, repr(var_i), repr(var_j), repr(totals[-1])])
         # argmax takes the first maximum, so ties resolve to the lowest index.

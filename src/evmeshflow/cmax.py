@@ -14,9 +14,6 @@ import numpy as np
 from .errors import ParameterError, ShapeError, _check_flow
 from .events import EventStream
 
-SPLAT_MODES = ("bilinear", "nearest")
-
-
 @dataclass
 class WarpedEvents:
     """Continuous event positions after transport to a reference time.
@@ -62,40 +59,34 @@ def warp_events(
     )
 
 
-def accumulate_iwe(warped: WarpedEvents, splat: str = "bilinear") -> np.ndarray:
+def accumulate_iwe(warped: WarpedEvents) -> np.ndarray:
     """Rasterize warped events into an (H, W) image of event counts.
 
     Bilinear splatting spreads each unit of mass over the four neighboring
     pixels; mass falling outside the sensor is discarded.
     """
-    if splat not in SPLAT_MODES:
-        raise ParameterError(f"splat must be one of {SPLAT_MODES}")
     h, w = warped.height, warped.width
-    img = np.zeros((h, w))
-    flat = img.reshape(-1)
-    if splat == "nearest":
-        xi = np.rint(warped.xw).astype(np.int64)
-        yi = np.rint(warped.yw).astype(np.int64)
-        ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        np.add.at(flat, yi[ok] * w + xi[ok], 1.0)
-        return img
+    # A 1-px border catches corners just off the sensor.  An event whose
+    # 2x2 footprint leaves the padded grid is sent to base W + 1, the
+    # top-right border cell, whose corners (W, -1), (-1, 0), (W, 0) and
+    # (-1, 1) are all border cells.  Every weight is >= 0 and the cells
+    # start at +0.0, so zero-weight corners leave the sums unchanged.
+    stride = w + 2
+    padded = np.zeros((h + 2) * stride)
     x0 = np.floor(warped.xw).astype(np.int64)
     y0 = np.floor(warped.yw).astype(np.int64)
     fx = warped.xw - x0
     fy = warped.yw - y0
-    # in_x[d] says whether column x0 + d lies on the sensor; in_y likewise.
-    in_x = ((x0 >= 0) & (x0 < w), (x0 >= -1) & (x0 < w - 1))
-    in_y = ((y0 >= 0) & (y0 < h), (y0 >= -1) & (y0 < h - 1))
-    base = y0 * w + x0
-    for dx, dy, wgt in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (1, 0, fx * (1 - fy)),
-        (0, 1, (1 - fx) * fy),
-        (1, 1, fx * fy),
+    inside = (x0 >= -1) & (x0 < w) & (y0 >= -1) & (y0 < h)
+    base = np.where(inside, (y0 + 1) * stride + (x0 + 1), w + 1)
+    for offset, wgt in (
+        (0, (1 - fx) * (1 - fy)),
+        (1, fx * (1 - fy)),
+        (stride, (1 - fx) * fy),
+        (stride + 1, fx * fy),
     ):
-        ok = in_x[dx] & in_y[dy] & (wgt > 0)
-        np.add.at(flat, base[ok] + (dy * w + dx), wgt[ok])
-    return img
+        np.add.at(padded, base + offset, wgt)
+    return padded.reshape(h + 2, stride)[1:-1, 1:-1].copy()
 
 
 def contrast(image: np.ndarray) -> float:
@@ -111,13 +102,12 @@ def two_sided_components(
     flow: np.ndarray,
     t_i: float,
     t_j: float,
-    splat: str = "bilinear",
 ) -> tuple[float, float]:
     """Warped-image variance at each interval endpoint, as (var_i, var_j)."""
     parts = []
     for t_ref in (t_i, t_j):
         warped = warp_events(stream, flow, t_ref, t_i, t_j)
-        parts.append(contrast(accumulate_iwe(warped, splat=splat)))
+        parts.append(contrast(accumulate_iwe(warped)))
     return parts[0], parts[1]
 
 
@@ -126,10 +116,9 @@ def two_sided_score(
     flow: np.ndarray,
     t_i: float,
     t_j: float,
-    splat: str = "bilinear",
 ) -> float:
     """Sum of warped-image variances at both interval endpoints."""
-    var_i, var_j = two_sided_components(stream, flow, t_i, t_j, splat=splat)
+    var_i, var_j = two_sided_components(stream, flow, t_i, t_j)
     return var_i + var_j
 
 
@@ -138,7 +127,6 @@ def select_best(
     flow: np.ndarray,
     t_i: float,
     t_j: float,
-    splat: str = "bilinear",
 ) -> int:
     """Index of the candidate with the highest two-sided score.
 
@@ -146,5 +134,5 @@ def select_best(
     """
     if not candidates:
         raise ParameterError("at least one candidate stream required")
-    scores = [two_sided_score(s, flow, t_i, t_j, splat=splat) for s in candidates]
+    scores = [two_sided_score(s, flow, t_i, t_j) for s in candidates]
     return int(np.argmax(scores))

@@ -122,16 +122,3 @@ def warp_features(features: np.ndarray, flow: np.ndarray) -> np.ndarray:
     gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
     return bilinear_sample(features, gx + flow[..., 0], gy + flow[..., 1])
 
-
-def average_pool(features: np.ndarray, factor: int) -> np.ndarray:
-    """Mean-pool (C, H, W) features by an integer factor per axis."""
-    (features,) = _check_features(features)
-    if factor < 1:
-        raise ParameterError("pool factor must be >= 1")
-    channels, height, width = features.shape
-    if height % factor or width % factor:
-        raise ShapeError("feature dimensions must divide the pool factor")
-    view = features.reshape(
-        channels, height // factor, factor, width // factor, factor
-    )
-    return view.mean(axis=(2, 4))

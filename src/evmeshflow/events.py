@@ -135,10 +135,12 @@ def _sorted_events(t, pix, p, width, height, t_start, t_end):
 def simulate(frames: FrameSequence, threshold: float) -> EventStream:
     """Run the threshold-crossing simulator over a frame sequence.
 
-    Crossings are emitted in rounds (a + pass, then a - pass on the updated
-    reference); a pixel that fires in no pass of a round keeps its
-    reference and so cannot fire later in that interval, so each round
-    tests only the pixels that fired in the one before.
+    Within an interval every pixel moves its reference toward the next
+    frame's log intensity only, so its direction is fixed once (up when
+    lb >= ref).  Crossings are emitted in rounds; a pixel that does not
+    fire in a round keeps its reference and so cannot fire later in that
+    interval, so each round tests only the pixels that fired in the one
+    before.
 
     Args:
         frames: positive intensity frames with strictly increasing times.
@@ -148,8 +150,11 @@ def simulate(frames: FrameSequence, threshold: float) -> EventStream:
         EventStream sorted by (t, y, x, p), timestamps in microseconds.
 
     Raises:
-        ParameterError: threshold <= 0, or events were emitted over a span
-            too long for the sort key, (span_us + 1) * 2 * H * W > 2**63 - 1.
+        ParameterError: threshold <= 0; a threshold so far below the
+            float64 resolution of the log intensities that a firing
+            pixel's reference level does not move; or events were emitted
+            over a span too long for the sort key,
+            (span_us + 1) * 2 * H * W > 2**63 - 1.
     """
     if not threshold > 0.0:
         raise ParameterError("threshold must be positive")
@@ -163,27 +168,26 @@ def simulate(frames: FrameSequence, threshold: float) -> EventStream:
     for k in range(n - 1):
         la, lb = logs[k].ravel(), logs[k + 1].ravel()
         ta, tb = float(frames.times[k]), float(frames.times[k + 1])
+        sign = np.where(lb >= ref, 1.0, -1.0)
         active = np.arange(ref.size)
-        while active.size:
-            lb_act = lb[active]
-            fired = np.zeros(active.size, dtype=bool)
-            for sign in (1, -1):
-                if sign > 0:
-                    hit = lb_act >= ref[active] + threshold
-                else:
-                    hit = lb_act <= ref[active] - threshold
-                idx = active[hit]
-                if not idx.size:
-                    continue
-                fired |= hit
-                target = ref[idx] + sign * threshold
-                frac = (target - la[idx]) / (lb[idx] - la[idx])
-                te = ta + frac * (tb - ta)
-                pix_all.append(idx)
-                ts_all.append(te)
-                ps_all.append(np.full(len(idx), sign, dtype=np.int8))
-                ref[idx] = target
-            active = active[fired]
+        while True:
+            target = ref[active] + sign[active] * threshold
+            hit = (lb[active] - target) * sign[active] >= 0
+            if not hit.any():
+                break
+            active, target = active[hit], target[hit]
+            if np.any(target == ref[active]):
+                raise ParameterError(
+                    f"threshold {threshold!r} does not move a reference level: "
+                    "it is below the float64 resolution of the log intensities "
+                    f"({np.spacing(np.abs(logs).max())!r})"
+                )
+            frac = (target - la[active]) / (lb[active] - la[active])
+            te = ta + frac * (tb - ta)
+            pix_all.append(active)
+            ts_all.append(te)
+            ps_all.append(sign[active].astype(np.int8))
+            ref[active] = target
 
     if not pix_all:
         empty = np.empty(0, dtype=np.int64)

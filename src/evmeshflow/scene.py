@@ -153,12 +153,6 @@ def _texture(seed: int, height: int, width: int, floor: float) -> np.ndarray:
     return out
 
 
-def scene_texture(scene: Scene) -> np.ndarray:
-    """The scene's static texture as an (H, W) intensity image."""
-    tex = _texture(scene.texture_seed, scene.height, scene.width, scene.intensity_floor)
-    return tex.copy()
-
-
 def _source_coords(scene: Scene, t: float, xs: np.ndarray, ys: np.ndarray):
     """Texture coordinates that appear at image positions (xs, ys) at time t.
 
@@ -232,13 +226,6 @@ def _velocity_at_points(
     d1 = g[1, 0] * xs + g[1, 1] * ys + g[1, 2]
     d2 = g[2, 0] * xs + g[2, 1] * ys + g[2, 2]
     return d0 - xs * d2, d1 - ys * d2
-
-
-def velocity_field(scene: Scene, t: float) -> np.ndarray:
-    """Instantaneous pixel velocity (px/s) at every pixel, shape (H, W, 2)."""
-    scene.check_time(t)
-    ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
-    return np.stack(_velocity_at_points(scene, t, xs, ys), axis=-1)
 
 
 def _audit_points(scene: Scene) -> tuple[np.ndarray, np.ndarray]:

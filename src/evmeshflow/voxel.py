@@ -21,10 +21,13 @@ def voxelize(stream: EventStream, bins: int = 5) -> np.ndarray:
     """
     if bins < 1:
         raise ParameterError("bins must be >= 1")
-    grid = np.zeros((bins, stream.height, stream.width))
+    # Both terms of every event go in unmasked: a zero upper weight adds
+    # +-0.0, which leaves a cell unchanged, and the upper terms of the last
+    # bin land in the spare plane `bins`.
+    grid = np.zeros((bins + 1, stream.height, stream.width))
     n = len(stream)
     if n == 0:
-        return grid
+        return grid[:bins]
     t0 = stream.t[0]
     tn = stream.t[-1]
     if tn > t0:
@@ -40,10 +43,8 @@ def voxelize(stream: EventStream, bins: int = 5) -> np.ndarray:
     flat = grid.reshape(-1)
     cell = b0 * plane + (stream.y.astype(np.int64) * stream.width + stream.x)
     np.add.at(flat, cell, pol * w0)
-    valid = (b0 + 1 < bins) & (w1 > 0)
-    if valid.any():
-        np.add.at(flat, cell[valid] + plane, pol[valid] * w1[valid])
-    return grid
+    np.add.at(flat, cell + plane, pol * w1)
+    return grid[:bins]
 
 
 def density(grid: np.ndarray) -> float:

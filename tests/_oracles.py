@@ -15,9 +15,9 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from evmeshflow import flow_between, seeded_rng, velocity_field
+from evmeshflow import flow_between, seeded_rng
 from evmeshflow.sampling import bilinear_sample_wrapped
-from evmeshflow.scene import _OCTAVE_GAINS, _OCTAVE_SIZES
+from evmeshflow.scene import _OCTAVE_GAINS, _OCTAVE_SIZES, _velocity_at_points
 
 
 def scalar_simulate(values, times, threshold):
@@ -123,9 +123,10 @@ def temporal_keep_mask(stream, flow, keep_ratio, tolerance):
 
 
 def dense_peak_speed(scene, t):
-    """Peak pixel speed over every pixel of the velocity field."""
-    vel = velocity_field(scene, t)
-    return float(np.hypot(vel[..., 0], vel[..., 1]).max())
+    """Peak pixel speed over the velocity at every pixel."""
+    ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
+    vx, vy = _velocity_at_points(scene, t, xs, ys)
+    return float(np.hypot(vx, vy).max())
 
 
 def dense_peak_displacement(scene, t_a, t_b):
@@ -137,8 +138,8 @@ def dense_peak_displacement(scene, t_a, t_b):
     return float(max(mag_f, mag_b))
 
 
-def scalar_accumulate_iwe(warped, splat):
-    """IWE of unit event counts, built one event at a time in the package's order.
+def scalar_accumulate_iwe(warped):
+    """Bilinear IWE of unit event counts, one event at a time in the package's order.
 
     Each corner (0, 0), (1, 0), (0, 1), (1, 1) takes its pass over all
     events, so every pixel receives its terms in the same order as in
@@ -147,12 +148,6 @@ def scalar_accumulate_iwe(warped, splat):
     width, height = warped.width, warped.height
     img = np.zeros((height, width))
     events = [(float(xw), float(yw)) for xw, yw in zip(warped.xw, warped.yw)]
-    if splat == "nearest":
-        for xw, yw in events:
-            xi, yi = round(xw), round(yw)
-            if 0 <= xi < width and 0 <= yi < height:
-                img[yi, xi] += 1.0
-        return img
     for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
         for xw, yw in events:
             x0, y0 = math.floor(xw), math.floor(yw)

@@ -6,20 +6,27 @@ import evmeshflow
 DELETED = (
     "Event",
     "LossWeights",
+    "average_pool",
     "incident_density",
     "read_vox1",
     "residual_update",
+    "scene_texture",
+    "velocity_field",
     "write_events_csv",
     "write_vox1",
 )
 
 # Keywords whose only non-default value was passed by unit tests.
-DELETED_KEYWORDS = {
-    "accumulate_iwe": "signed",
-    "correlate": "normalize",
-    "cdc_fuse": "correction",
-    "flow_to_color": "max_mag",
-}
+DELETED_KEYWORDS = (
+    ("accumulate_iwe", "signed"),
+    ("accumulate_iwe", "splat"),
+    ("two_sided_components", "splat"),
+    ("two_sided_score", "splat"),
+    ("select_best", "splat"),
+    ("correlate", "normalize"),
+    ("cdc_fuse", "correction"),
+    ("flow_to_color", "max_mag"),
+)
 
 
 def test_every_public_name_resolves_and_none_is_a_module():
@@ -45,6 +52,7 @@ def test_deleted_names_are_gone():
 
 
 def test_deleted_keywords_are_gone():
-    for func, keyword in DELETED_KEYWORDS.items():
+    for func, keyword in DELETED_KEYWORDS:
         assert keyword not in inspect.signature(getattr(evmeshflow, func)).parameters
     assert not hasattr(evmeshflow.WarpedEvents, "on_sensor")
+    assert not hasattr(evmeshflow.cmax, "SPLAT_MODES")

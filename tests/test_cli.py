@@ -148,6 +148,7 @@ class TestSimulateAndDensity:
         [
             ("motion=affine", "config"),
             ("thresholds=-1", "simulate"),
+            ("thresholds=1e-17", "simulate"),
             ("bins=0", "voxelize"),
         ],
     )

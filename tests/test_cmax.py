@@ -92,21 +92,6 @@ class TestWarpEvents:
 
 
 class TestAccumulateIwe:
-    def test_splat_mode_validated(self):
-        warped = WarpedEvents(
-            np.array([1.0]), np.array([1.0]), np.array([1]), 4, 4, 0.0
-        )
-        with pytest.raises(ParameterError):
-            accumulate_iwe(warped, splat="cubic")
-
-    def test_nearest_single_integer_event(self):
-        warped = WarpedEvents(
-            np.array([3.0]), np.array([2.0]), np.array([-1]), 6, 6, 0.0
-        )
-        img = accumulate_iwe(warped, splat="nearest")
-        assert img[2, 3] == 1.0
-        assert img.sum() == 1.0
-
     def test_bilinear_half_pixel_split(self):
         warped = WarpedEvents(
             np.array([0.5]), np.array([0.0]), np.array([1]), 4, 4, 0.0
@@ -144,19 +129,24 @@ class TestAccumulateIwe:
 
 @st.composite
 def _warped_events(draw):
-    """Events on, at the edge of and off a small non-square sensor.
+    """Events on, at the edge of and far off a small non-square sensor.
 
     A third of the coordinates are whole numbers, so some corners get zero
-    weight; the last row and column and positions just outside are drawn
-    on purpose.
+    weight; the last row and column, the padded border at -1 and at the
+    sensor size, and positions a million pixels away are drawn on purpose,
+    so a footprint routed to the wrong cell lands on another row or wraps
+    a negative index.
     """
     width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
 
     def coord(size):
         return st.one_of(
             st.integers(-2, size + 1).map(float),
-            st.sampled_from([size - 1.0, size - 1.5, size - 0.5, -0.5, -1e-9]),
+            st.sampled_from(
+                [size - 1.0, size - 1.5, size - 0.5, -0.5, -1e-9, -1.0, float(size)]
+            ),
             st.floats(-3.0, size + 2.0, allow_nan=False),
+            st.sampled_from([-1e6, 1e6, -1e6 + 0.5, 1e6 + 0.25]),
         )
 
     n = draw(st.integers(0, 40))
@@ -174,21 +164,19 @@ def _warped_events(draw):
 
 
 class TestAccumulateIweOracle:
-    @pytest.mark.parametrize("splat", ["bilinear", "nearest"])
     @settings(max_examples=80, deadline=None)
     @given(warped=_warped_events())
-    def test_matches_scalar_oracle_bytes(self, splat, warped):
-        img = accumulate_iwe(warped, splat=splat)
-        assert img.tobytes() == scalar_accumulate_iwe(warped, splat).tobytes()
+    def test_matches_scalar_oracle_bytes(self, warped):
+        img = accumulate_iwe(warped)
+        assert img.tobytes() == scalar_accumulate_iwe(warped).tobytes()
 
-    @pytest.mark.parametrize("splat", ["bilinear", "nearest"])
-    def test_scene_stream_matches_scalar_oracle_bytes(self, splat):
+    def test_scene_stream_matches_scalar_oracle_bytes(self):
         # 32x32 translation stream, warped to both ends: many events share pixels.
         _, stream, flow = _scene_stream()
         for t_ref in (stream.t_start, stream.t_end):
             warped = warp_events(stream, flow, t_ref, stream.t_start, stream.t_end)
-            img = accumulate_iwe(warped, splat=splat)
-            assert img.tobytes() == scalar_accumulate_iwe(warped, splat).tobytes()
+            img = accumulate_iwe(warped)
+            assert img.tobytes() == scalar_accumulate_iwe(warped).tobytes()
 
 
 class TestContrast:

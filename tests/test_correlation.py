@@ -10,7 +10,6 @@ from evmeshflow import (
     ParameterError,
     SearchGrid,
     ShapeError,
-    average_pool,
     correlate,
     dilated_mask,
     seeded_rng,
@@ -217,24 +216,3 @@ class TestWarpFeatures:
             warp_features(np.zeros((6, 6)), np.zeros((6, 6, 2)))
         with pytest.raises(ShapeError):
             warp_features(np.zeros((2, 6, 6)), np.zeros((4, 4, 2)))
-
-
-class TestAveragePool:
-    def test_mean_of_blocks(self):
-        feat = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-        out = average_pool(feat, 2)
-        assert out.shape == (1, 2, 2)
-        assert out[0, 0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4)
-        assert out[0, 1, 1] == pytest.approx((10 + 11 + 14 + 15) / 4)
-
-    def test_factor_one_identity(self):
-        feat = seeded_rng(13).normal(size=(2, 4, 4))
-        assert np.array_equal(average_pool(feat, 1), feat)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            average_pool(np.zeros((1, 4, 4)), 0)
-        with pytest.raises(ShapeError):
-            average_pool(np.zeros((1, 5, 4)), 2)
-        with pytest.raises(ShapeError):
-            average_pool(np.zeros((4, 4)), 2)

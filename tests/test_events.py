@@ -88,6 +88,14 @@ class TestSimulatePinnedCases:
         with pytest.raises(ParameterError):
             simulate(frames, 0.0)
 
+    def test_threshold_below_float_resolution_raises(self):
+        # fl(ref + 1e-17) == ref once |ref| >= 0.125: such a pixel fires
+        # without moving its reference, so the loop could never end.
+        scene = Scene(8, 8, 0, MotionSpec("translation", (0.5, 0.0)))
+        frames = render_sequence(scene, adaptive_timestamps(scene, 0.0, 1.0))
+        with pytest.raises(ParameterError, match="float64 resolution"):
+            simulate(frames, 1e-17)
+
     def test_constant_frames_emit_nothing(self):
         frames = FrameSequence(np.full((4, 3, 3), 0.7), [0.0, 0.1, 0.2, 0.3])
         stream = simulate(frames, 0.2)

@@ -15,9 +15,7 @@ from evmeshflow import (
     flow_at_points,
     flow_between,
     render_frame,
-    scene_texture,
     seeded_rng,
-    velocity_field,
 )
 
 from _oracles import dense_peak_displacement, dense_peak_speed, dense_render, dense_texture
@@ -25,6 +23,12 @@ from _oracles import dense_peak_displacement, dense_peak_speed, dense_render, de
 
 def _translation_scene(vx=2.0, vy=1.0, seed=5, size=16):
     return Scene(size, size, seed, MotionSpec("translation", (vx, vy)))
+
+
+def _texture_of(scene):
+    return scene_module._texture(
+        scene.texture_seed, scene.height, scene.width, scene.intensity_floor
+    )
 
 
 def _affine_scene(seed=5, size=16):
@@ -84,18 +88,18 @@ class TestScene:
 
 class TestTexture:
     def test_deterministic_for_seed(self):
-        a = scene_texture(_translation_scene(seed=9))
-        b = scene_texture(_translation_scene(seed=9))
+        a = _texture_of(_translation_scene(seed=9))
+        b = _texture_of(_translation_scene(seed=9))
         assert np.array_equal(a, b)
 
     def test_seed_changes_texture(self):
-        a = scene_texture(_translation_scene(seed=1))
-        b = scene_texture(_translation_scene(seed=2))
+        a = _texture_of(_translation_scene(seed=1))
+        b = _texture_of(_translation_scene(seed=2))
         assert not np.array_equal(a, b)
 
     def test_range_spans_floor_to_one(self):
         scene = _translation_scene()
-        tex = scene_texture(scene)
+        tex = _texture_of(scene)
         assert tex.min() == pytest.approx(scene.intensity_floor)
         assert tex.max() == pytest.approx(1.0)
 
@@ -103,7 +107,7 @@ class TestTexture:
     def test_matches_dense_texture_bytes(self, height, width):
         scene = Scene(width, height, 4, MotionSpec("translation", (1.0, 0.0)))
         expected = dense_texture(4, height, width, scene.intensity_floor)
-        assert scene_texture(scene).tobytes() == expected.tobytes()
+        assert _texture_of(scene).tobytes() == expected.tobytes()
 
     def test_rng_streams_are_independent(self):
         a = seeded_rng(3, 0).standard_normal(8)
@@ -232,7 +236,8 @@ class TestFlowBetween:
     def test_velocity_field_matches_flow_derivative(self):
         scene = _affine_scene()
         eps = 1e-6
-        vel = velocity_field(scene, 0.5)
+        ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
+        vel = np.stack(scene_module._velocity_at_points(scene, 0.5, xs, ys), axis=-1)
         flow = flow_between(scene, 0.5, 0.5 + eps)
         assert np.allclose(vel, flow / eps, atol=1e-4)
 
