@@ -7,7 +7,9 @@ fixed little-endian layouts, so re-running a command with identical inputs
 reproduces every output byte for byte.
 
 Config files hold one `key = value` pair per line ('#' starts a comment);
-positional `key=value` arguments override file entries.
+positional `key=value` arguments override file entries.  Each command takes
+the keys it uses in its `config` stage, and a key it does not use fails
+there, whether it came from the file or from an override.
 """
 
 import argparse
@@ -61,99 +63,87 @@ def _stage(name: str):
 # Config plumbing
 
 
-def _read_config_file(path: Path) -> dict[str, str]:
+def _parse_pairs(entries, source: str) -> dict[str, str]:
+    """Parse `key=value` entries (numbered from 1 in errors); blank ones are skipped."""
     cfg: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for n, entry in enumerate(entries, start=1):
+        if not entry.strip():
             continue
-        if "=" not in line:
-            raise ParameterError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
+        if "=" not in entry:
+            raise ParameterError(f"{source} {n}: expected key=value, got {entry!r}")
+        key, value = entry.split("=", 1)
         cfg[key.strip()] = value.strip()
     return cfg
 
 
-def _parse_pairs(pairs: list[str]) -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ParameterError(f"override {pair!r} is not of the form key=value")
-        key, value = pair.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    return cfg
+@contextmanager
+def _config(cfg: dict[str, str]):
+    """The config stage: the block pops every key it uses; a key left over fails."""
+    with _stage("config"):
+        yield
+        if cfg:
+            raise ParameterError(f"unused config key(s): {', '.join(sorted(cfg))}")
 
 
 def _require(cfg: dict[str, str], key: str) -> str:
     if key not in cfg:
         raise ParameterError(f"missing required config key {key!r}")
-    return cfg[key]
+    return cfg.pop(key)
 
 
-def _cfg_int(cfg, key, default):
-    return int(cfg[key]) if key in cfg else default
-
-
-def _cfg_float(cfg, key, default):
-    return float(cfg[key]) if key in cfg else default
-
-
-def _cfg_floats(cfg, key, default=None):
-    raw = cfg.get(key, default)
-    if raw is None:
-        raise ParameterError(f"missing required config key {key!r}")
+def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
-def _cfg_paths(cfg, key) -> list[Path]:
-    return [Path(tok.strip()) for tok in _require(cfg, key).split(",") if tok.strip()]
-
-
 def _scene_from_config(cfg: dict[str, str], seed: int) -> Scene:
-    kind = cfg.get("motion", "translation")
+    kind = cfg.pop("motion", "translation")
     if kind == "translation":
-        coeffs = _cfg_floats(cfg, "velocity", "10,0")
+        coeffs = _floats(cfg.pop("velocity", "10,0"))
         if "accel" in cfg:
-            coeffs = coeffs + _cfg_floats(cfg, "accel")
+            coeffs = coeffs + _floats(cfg.pop("accel"))
     else:
-        coeffs = _cfg_floats(cfg, "generator")
+        coeffs = _floats(_require(cfg, "generator"))
     return Scene(
-        width=_cfg_int(cfg, "width", 64),
-        height=_cfg_int(cfg, "height", 64),
+        width=int(cfg.pop("width", "64")),
+        height=int(cfg.pop("height", "64")),
         texture_seed=seed,
         motion=MotionSpec(kind, coeffs),
-        t_start=_cfg_float(cfg, "t_start", 0.0),
-        t_end=_cfg_float(cfg, "t_end", 1.0),
+        t_start=float(cfg.pop("t_start", "0")),
+        t_end=float(cfg.pop("t_end", "1")),
     )
 
 
 def _mesh_spec(cfg: dict[str, str]) -> MeshGridSpec:
-    cells = _cfg_int(cfg, "cells", 16)
+    cells = int(cfg.pop("cells", "16"))
     return MeshGridSpec(cells_x=cells, cells_y=cells)
 
 
-def _read_flow_auto(path: Path, image_shape: tuple[int, int]) -> np.ndarray:
-    """Load a dense flow from FLO1, or a MSH1 mesh upsampled to the image."""
-    magic = path.read_bytes()[:4]
+def _read_flow(path: Path, shape, magics=(b"FLO1", b"MSH1")) -> np.ndarray:
+    """Load a dense flow from FLO1, or from a MSH1 mesh upsampled to `shape`."""
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+    if magic not in magics:
+        expected = " or ".join(m.decode() for m in magics)
+        raise FormatError(f"{path}: expected {expected} magic, found {magic!r}")
     if magic == b"FLO1":
         return io.read_flo1(path)
-    if magic == b"MSH1":
-        return upsample_bilinear(io.read_msh1(path), *image_shape)
-    raise FormatError(f"{path}: expected FLO1 or MSH1 magic, found {magic!r}")
+    return upsample_bilinear(io.read_msh1(path), *shape)
 
 
-def _write_manifest(out: Path, command: str, entries: list[tuple[str, str]]) -> None:
-    lines = [f"# {command} artifacts"]
-    lines.extend(f"{name}\t{note}" for name, note in entries)
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+def _write_density(out: Path, thresholds, streams, densities) -> tuple[str, str]:
+    rows = [
+        [repr(c), len(s), repr(d)] for c, s, d in zip(thresholds, streams, densities)
+    ]
+    io.write_csv_rows(out / "density.csv", ["threshold", "events", "density"], rows)
+    return ("density.csv", f"sweeps={len(thresholds)}")
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its manifest entries (name, note) and a summary line.
 
 
-def cmd_gen(cfg, out: Path, seed: int) -> int:
-    with _stage("config"):
+def cmd_gen(cfg, out: Path, seed: int):
+    with _config(cfg):
         scene = _scene_from_config(cfg, seed)
         spec = _mesh_spec(cfg)
     with _stage("gen"):
@@ -181,16 +171,14 @@ def cmd_gen(cfg, out: Path, seed: int) -> int:
             [[k, repr(t)] for k, t in enumerate(times)],
         )
         entries.append(("times.csv", f"count={len(times)}"))
-        _write_manifest(out, "gen", entries)
-    print(f"gen: {len(times)} frames, {len(flows)} intervals")
-    return 0
+    return entries, f"gen: {len(times)} frames, {len(flows)} intervals"
 
 
 def _sweep(cfg, seed: int):
-    with _stage("config"):
+    with _config(cfg):
         scene = _scene_from_config(cfg, seed)
-        thresholds = _cfg_floats(cfg, "thresholds", "0.2")
-        bins = _cfg_int(cfg, "bins", 5)
+        thresholds = _floats(cfg.pop("thresholds", "0.2"))
+        bins = int(cfg.pop("bins", "5"))
     with _stage("render"):
         times = adaptive_timestamps(scene, scene.t_start, scene.t_end)
         frames = render_sequence(scene, times)
@@ -201,10 +189,9 @@ def _sweep(cfg, seed: int):
     return thresholds, streams, densities
 
 
-def cmd_simulate(cfg, out: Path, seed: int) -> int:
+def cmd_simulate(cfg, out: Path, seed: int):
     thresholds, streams, densities = _sweep(cfg, seed)
     entries = []
-    rows = []
     with _stage("write"):
         for k, (c, stream, dens) in enumerate(zip(thresholds, streams, densities)):
             name = f"events_{k:02d}_c{c:g}.evt1"
@@ -212,30 +199,21 @@ def cmd_simulate(cfg, out: Path, seed: int) -> int:
             entries.append(
                 (name, f"threshold={c:g} events={len(stream)} density={dens:.9f}")
             )
-            rows.append([repr(c), len(stream), repr(dens)])
-        io.write_csv_rows(out / "density.csv", ["threshold", "events", "density"], rows)
-        entries.append(("density.csv", f"sweeps={len(thresholds)}"))
-        _write_manifest(out, "simulate", entries)
-    print(f"simulate: {len(thresholds)} threshold(s)")
-    return 0
+        entries.append(_write_density(out, thresholds, streams, densities))
+    return entries, f"simulate: {len(thresholds)} threshold(s)"
 
 
-def cmd_density(cfg, out: Path, seed: int) -> int:
+def cmd_density(cfg, out: Path, seed: int):
     thresholds, streams, densities = _sweep(cfg, seed)
     with _stage("write"):
-        rows = [
-            [repr(c), len(s), repr(d)]
-            for c, s, d in zip(thresholds, streams, densities)
-        ]
-        io.write_csv_rows(out / "density.csv", ["threshold", "events", "density"], rows)
-        _write_manifest(out, "density", [("density.csv", f"sweeps={len(thresholds)}")])
-    print(f"density: {len(thresholds)} threshold(s)")
-    return 0
+        entry = _write_density(out, thresholds, streams, densities)
+    return [entry], f"density: {len(thresholds)} threshold(s)"
 
 
-def cmd_select(cfg, out: Path, seed: int) -> int:
-    with _stage("config"):
-        paths = _cfg_paths(cfg, "candidates")
+def cmd_select(cfg, out: Path, seed: int):
+    with _config(cfg):
+        tokens = _require(cfg, "candidates").split(",")
+        paths = [Path(tok.strip()) for tok in tokens if tok.strip()]
         if not paths:
             raise ParameterError("at least one candidate stream required")
         flow_path = Path(_require(cfg, "flow"))
@@ -243,8 +221,8 @@ def cmd_select(cfg, out: Path, seed: int) -> int:
         candidates = [io.read_evt1(p) for p in paths]
         flow = io.read_flo1(flow_path)
     with _stage("select"):
-        t_i = _cfg_float(cfg, "t_i_us", min(s.t_start for s in candidates))
-        t_j = _cfg_float(cfg, "t_j_us", max(s.t_end for s in candidates))
+        t_i = min(s.t_start for s in candidates)
+        t_j = max(s.t_end for s in candidates)
         rows = []
         totals = []
         for k, stream in enumerate(candidates):
@@ -258,23 +236,18 @@ def cmd_select(cfg, out: Path, seed: int) -> int:
             out / "scores.csv", ["candidate_index", "var_ti", "var_tj", "total"], rows
         )
         (out / "selected.txt").write_text(f"{best}\n")
-        _write_manifest(
-            out,
-            "select",
-            [
-                ("scores.csv", f"candidates={len(candidates)}"),
-                ("selected.txt", f"index={best}"),
-            ],
-        )
-    print(f"selected={best}")
-    return 0
+    entries = [
+        ("scores.csv", f"candidates={len(candidates)}"),
+        ("selected.txt", f"index={best}"),
+    ]
+    return entries, f"selected={best}"
 
 
-def cmd_meshflow(cfg, out: Path, seed: int) -> int:
-    with _stage("config"):
+def cmd_meshflow(cfg, out: Path, seed: int):
+    with _config(cfg):
         flow_path = Path(_require(cfg, "flow"))
         spec = _mesh_spec(cfg)
-        visualize = _cfg_int(cfg, "visualize", 0)
+        visualize = int(cfg.pop("visualize", "0"))
     with _stage("load"):
         flow = io.read_flo1(flow_path)
     with _stage("meshflow"):
@@ -289,29 +262,25 @@ def cmd_meshflow(cfg, out: Path, seed: int) -> int:
             dense = upsample_bilinear(msh, flow.shape[0], flow.shape[1])
             io.write_ppm(out / "meshflow.ppm", io.flow_to_color(dense))
             entries.append(("meshflow.ppm", f"size={flow.shape[1]}x{flow.shape[0]}"))
-        _write_manifest(out, "meshflow", entries)
-    print(f"meshflow: {msh.shape[1]}x{msh.shape[0]} vertices")
-    return 0
+    return entries, f"meshflow: {msh.shape[1]}x{msh.shape[0]} vertices"
 
 
-def cmd_eval(cfg, out: Path, seed: int) -> int:
-    with _stage("config"):
+def cmd_eval(cfg, out: Path, seed: int):
+    with _config(cfg):
         pred_path = Path(_require(cfg, "pred"))
         gt_path = Path(_require(cfg, "gt"))
-        kind = cfg.get("kind", "flow")
-        if kind not in ("flow", "meshflow"):
+        kind = cfg.pop("kind", "flow")
+        magic = {"flow": b"FLO1", "meshflow": b"MSH1"}.get(kind)
+        if magic is None:
             raise ParameterError(f"kind must be flow or meshflow, got {kind!r}")
+        shape = None
+        if kind == "meshflow":
+            shape = (int(cfg.pop("height", "64")), int(cfg.pop("width", "64")))
+        label = cfg.pop("label", pred_path.stem)
     with _stage("load"):
-        if kind == "flow":
-            pred = io.read_flo1(pred_path)
-            gt = io.read_flo1(gt_path)
-        else:
-            height = _cfg_int(cfg, "height", 64)
-            width = _cfg_int(cfg, "width", 64)
-            pred = upsample_bilinear(io.read_msh1(pred_path), height, width)
-            gt = upsample_bilinear(io.read_msh1(gt_path), height, width)
+        pred = _read_flow(pred_path, shape, (magic,))
+        gt = _read_flow(gt_path, shape, (magic,))
     with _stage("eval"):
-        label = cfg.get("label", pred_path.stem)
         rows = [
             [label, "epe", repr(epe(pred, gt))],
             [label, "npe_1", repr(npe(pred, gt, 1.0))],
@@ -321,21 +290,19 @@ def cmd_eval(cfg, out: Path, seed: int) -> int:
         ]
     with _stage("write"):
         io.write_csv_rows(out / "metrics.csv", ["sequence", "metric", "value"], rows)
-        _write_manifest(out, "eval", [("metrics.csv", f"kind={kind}")])
-    for _, name, value in rows:
-        print(f"{name}={value}")
-    return 0
+    summary = "\n".join(f"{name}={value}" for _, name, value in rows)
+    return [("metrics.csv", f"kind={kind}")], summary
 
 
-def cmd_warp(cfg, out: Path, seed: int) -> int:
-    with _stage("config"):
+def cmd_warp(cfg, out: Path, seed: int):
+    with _config(cfg):
         image_path = Path(_require(cfg, "image"))
         ref_path = Path(_require(cfg, "reference"))
         flow_path = Path(_require(cfg, "flow"))
     with _stage("load"):
         image = io.read_pgm(image_path)
         reference = io.read_pgm(ref_path)
-        flow = _read_flow_auto(flow_path, image.shape)
+        flow = _read_flow(flow_path, image.shape)
     with _stage("warp"):
         warped = backward_warp(image, flow)
         err_warped = alignment_error(reference, warped)
@@ -347,27 +314,22 @@ def cmd_warp(cfg, out: Path, seed: int) -> int:
             ["variant", "error"],
             [["warped", repr(err_warped)], ["identity", repr(err_identity)]],
         )
-        _write_manifest(
-            out,
-            "warp",
-            [
-                ("warped.pgm", f"size={image.shape[1]}x{image.shape[0]}"),
-                ("alignment.csv", f"warped={err_warped:.9f}"),
-            ],
-        )
-    print(f"alignment: warped={err_warped!r} identity={err_identity!r}")
-    return 0
+    entries = [
+        ("warped.pgm", f"size={image.shape[1]}x{image.shape[0]}"),
+        ("alignment.csv", f"warped={err_warped:.9f}"),
+    ]
+    return entries, f"alignment: warped={err_warped!r} identity={err_identity!r}"
 
 
-def cmd_subsample(cfg, out: Path, seed: int) -> int:
-    with _stage("config"):
+def cmd_subsample(cfg, out: Path, seed: int):
+    with _config(cfg):
         events_path = Path(_require(cfg, "events"))
         flow_path = Path(_require(cfg, "flow"))
-        mode = cfg.get("mode", "spatial")
+        mode = cfg.pop("mode", "spatial")
         if mode not in ("spatial", "temporal"):
             raise ParameterError(f"mode must be spatial or temporal, got {mode!r}")
-        keep_ratio = _cfg_float(cfg, "keep_ratio", 0.5)
-        tolerance = _cfg_float(cfg, "tolerance", 0.5)
+        keep_ratio = float(cfg.pop("keep_ratio", "0.5"))
+        tolerance = float(cfg.pop("tolerance", "0.5"))
     with _stage("load"):
         stream = io.read_evt1(events_path)
         flow = io.read_flo1(flow_path)
@@ -376,13 +338,8 @@ def cmd_subsample(cfg, out: Path, seed: int) -> int:
         kept = fn(stream, flow, keep_ratio, tolerance)
     with _stage("write"):
         io.write_evt1(out / "subsampled.evt1", kept)
-        _write_manifest(
-            out,
-            "subsample",
-            [("subsampled.evt1", f"mode={mode} kept={len(kept)} of={len(stream)}")],
-        )
-    print(f"subsample: kept {len(kept)} of {len(stream)}")
-    return 0
+    entries = [("subsampled.evt1", f"mode={mode} kept={len(kept)} of={len(stream)}")]
+    return entries, f"subsample: kept {len(kept)} of {len(stream)}"
 
 
 _COMMANDS = {
@@ -421,16 +378,25 @@ def main(argv=None) -> int:
         with _stage("config"):
             cfg: dict[str, str] = {}
             if args.config is not None:
-                cfg.update(_read_config_file(args.config))
-            cfg.update(_parse_pairs(args.overrides))
-            seed = args.seed if args.seed is not None else int(cfg.get("seed", "0"))
+                text = args.config.read_text()
+                lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
+                cfg.update(_parse_pairs(lines, f"{args.config} line"))
+            cfg.update(_parse_pairs(args.overrides, "override"))
+            # Every command uses the seed, even when --seed overrides it.
+            seed_text = cfg.pop("seed", "0")
+            seed = args.seed if args.seed is not None else int(seed_text)
         with _stage("setup"):
             args.out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command][0](cfg, args.out, seed)
+        entries, summary = _COMMANDS[args.command][0](cfg, args.out, seed)
+        with _stage("write"):
+            lines = [f"# {args.command} artifacts"]
+            lines.extend(f"{name}\t{note}" for name, note in entries)
+            (args.out / "manifest.txt").write_text("\n".join(lines) + "\n")
     except StageError as err:
         print(f"error [{err.stage}]: {err}", file=sys.stderr)
         return 1
-
+    print(summary)
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

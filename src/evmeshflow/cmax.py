@@ -71,12 +71,16 @@ def accumulate_iwe(warped: WarpedEvents) -> np.ndarray:
     # top-right border cell, whose corners (W, -1), (-1, 0), (W, 0) and
     # (-1, 1) are all border cells.  Every weight is >= 0 and the cells
     # start at +0.0, so zero-weight corners leave the sums unchanged.
+    # Clipping leaves in-range events alone, keeps off-grid ones off it,
+    # and keeps the int64 cast defined for any finite position.
     stride = w + 2
     padded = np.zeros((h + 2) * stride)
-    x0 = np.floor(warped.xw).astype(np.int64)
-    y0 = np.floor(warped.yw).astype(np.int64)
-    fx = warped.xw - x0
-    fy = warped.yw - y0
+    fx = np.clip(warped.xw, -2, w + 1)
+    fy = np.clip(warped.yw, -2, h + 1)
+    x0 = np.floor(fx).astype(np.int64)
+    y0 = np.floor(fy).astype(np.int64)
+    fx -= x0
+    fy -= y0
     inside = (x0 >= -1) & (x0 < w) & (y0 >= -1) & (y0 < h)
     base = np.where(inside, (y0 + 1) * stride + (x0 + 1), w + 1)
     for offset, wgt in (

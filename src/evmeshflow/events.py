@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataError, ParameterError, ShapeError, _check_flow
+from .errors import DataError, ParameterError, ShapeError, StepLimitError, _check_flow
 from .scene import Scene, render_frame
 
 
@@ -132,6 +132,11 @@ def _sorted_events(t, pix, p, width, height, t_start, t_end):
     return x, y, dt + t_start, (key & 1).astype(np.int8) * 2 - 1
 
 
+# Events one `simulate` call may emit: 66x the 1,009,082 events of a
+# 256x256, v = (40, -15) px/s, c = 0.03 sweep.
+_EVENT_BUDGET = 2**26
+
+
 def simulate(frames: FrameSequence, threshold: float) -> EventStream:
     """Run the threshold-crossing simulator over a frame sequence.
 
@@ -150,25 +155,42 @@ def simulate(frames: FrameSequence, threshold: float) -> EventStream:
         EventStream sorted by (t, y, x, p), timestamps in microseconds.
 
     Raises:
-        ParameterError: threshold <= 0; a threshold so far below the
-            float64 resolution of the log intensities that a firing
-            pixel's reference level does not move; or events were emitted
-            over a span too long for the sort key,
-            (span_us + 1) * 2 * H * W > 2**63 - 1.
+        ParameterError: threshold <= 0; a threshold at or below the float64
+            spacing of the largest |log intensity|, where a reference level
+            could stop moving; or events were emitted over a span too long
+            for the sort key, (span_us + 1) * 2 * H * W > 2**63 - 1.
+        StepLimitError: the crossings counted before each interval,
+            floor(|lb - ref| / threshold) per pixel, add up to more than
+            _EVENT_BUDGET = 2**26 events.
     """
     if not threshold > 0.0:
         raise ParameterError("threshold must be positive")
     logs = np.log(frames.values)
+    # References stay within [-max|log|, max|log|], so above this spacing
+    # every step moves a reference level.
+    resolution = float(np.spacing(max(logs.max(), -logs.min())))
+    if threshold <= resolution:
+        raise ParameterError(
+            f"threshold {threshold!r} is at or below the float64 resolution "
+            f"of the log intensities ({resolution!r})"
+        )
     n = logs.shape[0]
     t_start = int(_us(frames.times[:1])[0])
     t_end = int(_us(frames.times[-1:])[0])
 
     pix_all, ts_all, ps_all = [], [], []
     ref = logs[0].ravel().copy()
+    expected = 0.0
     for k in range(n - 1):
         la, lb = logs[k].ravel(), logs[k + 1].ravel()
         ta, tb = float(frames.times[k]), float(frames.times[k + 1])
-        sign = np.where(lb >= ref, 1.0, -1.0)
+        gap = lb - ref
+        expected += np.floor(np.abs(gap) / threshold).sum()
+        if expected > _EVENT_BUDGET:
+            raise StepLimitError(
+                f"threshold {threshold!r} would emit over {_EVENT_BUDGET} events"
+            )
+        sign = np.where(gap >= 0, 1.0, -1.0)
         active = np.arange(ref.size)
         while True:
             target = ref[active] + sign[active] * threshold
@@ -176,12 +198,6 @@ def simulate(frames: FrameSequence, threshold: float) -> EventStream:
             if not hit.any():
                 break
             active, target = active[hit], target[hit]
-            if np.any(target == ref[active]):
-                raise ParameterError(
-                    f"threshold {threshold!r} does not move a reference level: "
-                    "it is below the float64 resolution of the log intensities "
-                    f"({np.spacing(np.abs(logs).max())!r})"
-                )
             frac = (target - la[active]) / (lb[active] - la[active])
             te = ta + frac * (tb - ta)
             pix_all.append(active)

@@ -23,7 +23,7 @@ from evmeshflow import (
     write_msh1,
     write_pgm,
 )
-from evmeshflow.cli import main
+from evmeshflow.cli import _COMMANDS, main
 
 
 def _run(capsys, *argv):
@@ -149,6 +149,7 @@ class TestSimulateAndDensity:
             ("motion=affine", "config"),
             ("thresholds=-1", "simulate"),
             ("thresholds=1e-17", "simulate"),
+            ("thresholds=1e-9", "simulate"),
             ("bins=0", "voxelize"),
         ],
     )
@@ -513,3 +514,91 @@ class TestConfigPlumbing:
         _run(capsys, "gen", "--config", cfg, "--out", out_a)
         _run(capsys, "gen", "--config", cfg, "--seed", "5", "--out", out_b)
         assert _dir_bytes(out_a) == _dir_bytes(out_b)
+
+
+class TestUnusedKeys:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        scene = Scene(16, 16, 3, MotionSpec("translation", (4.0, 1.0)))
+        frames = render_sequence(scene, [0.0, 1.0])
+        from evmeshflow import flow_between
+
+        flow = flow_between(scene, 0.0, 1.0)
+        write_evt1(root / "events.evt1", simulate(frames, 0.2))
+        write_flo1(root / "flow.flo1", flow)
+        write_msh1(root / "mesh.msh1", extract_meshflow(flow))
+        write_pgm(root / "frame_i.pgm", frames.values[0])
+        write_pgm(root / "frame_j.pgm", frames.values[1])
+        return root
+
+    @staticmethod
+    def _valid(command, root):
+        scene = ["width=16", "height=16", "velocity=4,1"]
+        return {
+            "gen": scene,
+            "simulate": scene,
+            "density": scene,
+            "select": [
+                f"candidates={root / 'events.evt1'}", f"flow={root / 'flow.flo1'}"
+            ],
+            "meshflow": [f"flow={root / 'flow.flo1'}", "cells=4"],
+            "eval": [f"pred={root / 'flow.flo1'}", f"gt={root / 'flow.flo1'}"],
+            "warp": [
+                f"image={root / 'frame_j.pgm'}",
+                f"reference={root / 'frame_i.pgm'}",
+                f"flow={root / 'mesh.msh1'}",
+            ],
+            "subsample": [
+                f"events={root / 'events.evt1'}", f"flow={root / 'flow.flo1'}"
+            ],
+        }[command]
+
+    @pytest.mark.parametrize("source", ["override", "file"])
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_unused_key_fails_in_config(
+        self, tmp_path, capsys, inputs, command, source
+    ):
+        # `seed` is used by every command; `bogus` by none.
+        args = [command, *self._valid(command, inputs), "seed=2"]
+        assert _run(capsys, *args, "--out", tmp_path / "ok")[0] == 0
+        if source == "file":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("bogus = 1\n")
+            args += ["--config", cfg]
+        else:
+            args.append("bogus=1")
+        out = tmp_path / "out"
+        code, stdout, stderr = _run(capsys, *args, "--out", out)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error [config]:") and "bogus" in stderr
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("key", ["splat=nearest", "t_i_us=0", "t_j_us=1000000"])
+    def test_removed_select_keys_rejected(self, tmp_path, capsys, inputs, key):
+        code, _, stderr = _run(
+            capsys, "select", "--out", tmp_path / "out",
+            *self._valid("select", inputs), key,
+        )
+        assert code == 1
+        assert stderr.startswith("error [config]:") and key.split("=")[0] in stderr
+
+    def test_velocity_unused_by_affine_scene(self, tmp_path, capsys):
+        code, _, stderr = _run(
+            capsys, "gen", "--out", tmp_path / "out", "width=16", "height=16",
+            "motion=affine", "generator=0.1,0,0,0,0.1,0", "velocity=1,0",
+        )
+        assert code == 1
+        assert stderr.startswith("error [config]:") and "velocity" in stderr
+
+    @pytest.mark.parametrize(
+        "extra", [["width=16"], ["kind=meshflow", "height=x"]]
+    )
+    def test_eval_dimensions_taken_in_config(self, tmp_path, capsys, inputs, extra):
+        # The size is used only to upsample meshes, and parsed before loading.
+        code, _, stderr = _run(
+            capsys, "eval", "--out", tmp_path / "out",
+            f"pred={inputs / 'mesh.msh1'}", f"gt={inputs / 'mesh.msh1'}", *extra,
+        )
+        assert code == 1
+        assert stderr.startswith("error [config]:")

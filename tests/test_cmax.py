@@ -114,6 +114,14 @@ class TestAccumulateIwe:
         img = accumulate_iwe(warped)
         assert img.sum() == pytest.approx(1.0)
 
+    def test_far_off_sensor_position_casts_cleanly(self):
+        # floor(1e300) overflows int64; the suite turns the cast warning into
+        # an error.
+        warped = WarpedEvents(
+            np.array([1e300, 1.5]), np.array([0.0, 1.0]), np.array([1, 1]), 4, 4, 0.0
+        )
+        assert accumulate_iwe(warped).sum() == 1.0
+
     def test_mass_bounded_by_count_with_onsensor_equality(self):
         rng = seeded_rng(2)
         xw = rng.uniform(-1, 8, size=50)

@@ -12,6 +12,7 @@ from evmeshflow import (
     ParameterError,
     Scene,
     ShapeError,
+    StepLimitError,
     adaptive_timestamps,
     flow_between,
     multi_density_sweep,
@@ -95,6 +96,13 @@ class TestSimulatePinnedCases:
         frames = render_sequence(scene, adaptive_timestamps(scene, 0.0, 1.0))
         with pytest.raises(ParameterError, match="float64 resolution"):
             simulate(frames, 1e-17)
+
+    def test_event_budget_exceeded_raises(self):
+        # About 5e9 events per pixel: refused before the first round.
+        scene = Scene(8, 8, 0, MotionSpec("translation", (0.5, 0.0)))
+        frames = render_sequence(scene, adaptive_timestamps(scene, 0.0, 1.0))
+        with pytest.raises(StepLimitError, match="events"):
+            simulate(frames, 1e-9)
 
     def test_constant_frames_emit_nothing(self):
         frames = FrameSequence(np.full((4, 3, 3), 0.7), [0.0, 0.1, 0.2, 0.3])
