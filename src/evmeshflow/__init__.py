@@ -76,7 +76,6 @@ from .mesh import (
     VertexCandidates,
     alignment_error,
     backward_warp,
-    cell_center_pixels,
     downsample_to_mesh,
     extract_meshflow,
     f1_median,

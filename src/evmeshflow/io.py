@@ -132,10 +132,15 @@ def read_msh1(path) -> np.ndarray:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write an intensity image in [0, 1] as 16-bit binary PGM."""
+    """Write an intensity image in [0, 1] as 16-bit binary PGM.
+
+    Values outside [0, 1] are clipped; NaN has no sample value and raises.
+    """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ShapeError(f"expected (H, W) image, got {image.shape}")
+    if np.isnan(image).any():
+        raise DataError("PGM image values must not be NaN")
     scaled = np.rint(np.clip(image, 0.0, 1.0) * 65535.0).astype(">u2")
     height, width = image.shape
     with open(path, "wb") as fh:

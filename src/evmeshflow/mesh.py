@@ -1,11 +1,11 @@
 """Mesh flow: sparse vertex motion extracted from dense flow.
 
 A regular grid of cells covers the image; each cell contributes the flow
-at its center pixel as a candidate motion to the 4x4 block of vertices
-around it (fewer at the image border).  A per-vertex componentwise median
-over candidates followed by a 3x3 vertex-window median gives a compact
-motion field that ignores small outlier regions, unlike plain bilinear
-downsampling.  Vertex (i, j) sits at pixel coordinates
+at its center, sampled bilinearly, as a candidate motion to the 4x4 block
+of vertices around it (fewer at the image border).  A per-vertex
+componentwise median over candidates followed by a 3x3 vertex-window
+median gives a compact motion field that ignores small outlier regions,
+unlike plain bilinear downsampling.  Vertex (i, j) sits at pixel coordinates
 (j * W / cells_x, i * H / cells_y), so bilinear interpolation between
 vertices reconstructs a dense field at any resolution.
 
@@ -16,8 +16,7 @@ the field at the centroid of its candidate cell centers, and at a corner
 that centroid lies one cell inward along each axis.  The bias covers
 vertices 0 and 1 from each border after f1 and reaches vertex 2 through
 the 3x3 window of f2, so affine fields are reconstructed exactly only at
-least 3 cells in from every border, and there only when each cell spans
-an even number of pixels, so that its center falls on a whole pixel.
+least 3 cells in from every border.
 """
 
 from dataclasses import dataclass
@@ -56,25 +55,6 @@ class VertexCandidates:
     values: np.ndarray  # (Vy, Vx, 16, 2), NaN marks absent slots
     counts: np.ndarray  # (Vy, Vx) int
 
-    def at(self, vy: int, vx: int) -> np.ndarray:
-        vals = self.values[vy, vx]
-        return vals[~np.isnan(vals[:, 0])]
-
-
-def cell_center_pixels(spec: MeshGridSpec, height: int, width: int):
-    """Integer pixel (cx_px, cy_px) of every cell center.
-
-    The real-valued center of cell (cx, cy) is ((cx + 0.5) * W / cells_x,
-    (cy + 0.5) * H / cells_y); rounding ties go toward the lower index.
-    """
-    cw = width / spec.cells_x
-    ch = height / spec.cells_y
-    cx = (np.arange(spec.cells_x) + 0.5) * cw
-    cy = (np.arange(spec.cells_y) + 0.5) * ch
-    px = np.clip(np.ceil(cx - 0.5).astype(np.int64), 0, width - 1)
-    py = np.clip(np.ceil(cy - 0.5).astype(np.int64), 0, height - 1)
-    return px, py
-
 
 def _windows(grid: np.ndarray, size: int) -> np.ndarray:
     """Stacked size x size neighborhoods of an (Ny, Nx, 2) grid.
@@ -90,9 +70,12 @@ def _windows(grid: np.ndarray, size: int) -> np.ndarray:
 
 
 def propagate(flow: np.ndarray, spec: MeshGridSpec) -> VertexCandidates:
-    """Spread each cell's center-pixel flow to the vertices around it.
+    """Spread each cell's center flow to the vertices around it.
 
-    Cell (cx, cy) covers the 3x3-cell rectangle centered on it, so its
+    The center of cell (cx, cy) is ((cx + 0.5) * W / cells_x,
+    (cy + 0.5) * H / cells_y); the flow there is sampled bilinearly, which
+    reads the pixel itself wherever the center is a whole pixel.  Cell
+    (cx, cy) covers the 3x3-cell rectangle centered on it, so its
     motion reaches vertices (cx-1..cx+2, cy-1..cy+2) clipped to the grid:
     16 candidates at interior vertices, 4 at the corners.
     """
@@ -100,8 +83,9 @@ def propagate(flow: np.ndarray, spec: MeshGridSpec) -> VertexCandidates:
     height, width = flow.shape[:2]
     if height < 1 or width < 1:
         raise ShapeError("flow must be non-empty")
-    px, py = cell_center_pixels(spec, height, width)
-    cell_motion = flow[py[:, None], px[None, :]]  # (cells_y, cells_x, 2)
+    cx = (np.arange(spec.cells_x) + 0.5) * (width / spec.cells_x)
+    cy = (np.arange(spec.cells_y) + 0.5) * (height / spec.cells_y)
+    cell_motion = _sample_channels_last(flow, cx[None, :], cy[:, None])
 
     values = _windows(cell_motion, 4)
     counts = (~np.isnan(values[..., 0])).sum(axis=2)
@@ -149,10 +133,9 @@ def extract_meshflow(flow: np.ndarray, spec: MeshGridSpec = MeshGridSpec()) -> n
     """Dense flow -> (Vy, Vx, 2) mesh via propagation and both medians.
 
     For an affine field the result is f2_smooth applied to the field at each
-    vertex's candidate-centroid position (the mean center pixel of cells
-    v-2..v+1, clipped to the grid, per axis).  With cells an even number
-    of pixels wide, vertices at least 3 from every border are exact; those
-    nearer are biased toward the interior.
+    vertex's candidate-centroid position (the mean cell center of cells
+    v-2..v+1, clipped to the grid, per axis).  Vertices at least 3 from
+    every border are exact; those nearer are biased toward the interior.
     """
     return f2_smooth(f1_median(propagate(flow, spec)))
 

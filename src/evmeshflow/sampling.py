@@ -70,7 +70,9 @@ def bilinear_sample(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
     y0 = np.clip(np.floor(y).astype(np.int64), 0, height - 1)
     x1 = np.minimum(x0 + 1, width - 1)
     y1 = np.minimum(y0 + 1, height - 1)
-    flat = vals.reshape(vals.shape[0], -1)
+    # One copy for a strided (channels-last) view, so that np.take does
+    # not copy each plane again for every corner.
+    flat = np.ascontiguousarray(vals.reshape(vals.shape[0], -1))
     out = _blend(flat, width, x0, x1, y0, y1, x - x0, y - y0)
     return out[0] if squeeze else out
 

@@ -24,6 +24,8 @@ from .sampling import bilinear_sample_wrapped
 
 _OCTAVE_SIZES = (4, 8, 16, 32)
 _OCTAVE_GAINS = (1.0, 0.5, 0.25, 0.125)
+_INTENSITY_FLOOR = 1e-3  # darkest texture value; keeps log intensity finite
+_MAX_STEPS = 100_000  # adaptive_timestamps gives up beyond this many frames
 
 MOTION_KINDS = ("translation", "affine", "homography")
 
@@ -54,6 +56,10 @@ class MotionSpec:
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
+        # Stored as a tuple of floats so that specs hash (the matrix cache
+        # keys on them) and compare equal whatever sequence was passed.
+        coefficients = tuple(float(c) for c in self.coefficients)
+        object.__setattr__(self, "coefficients", coefficients)
         if self.kind not in MOTION_KINDS:
             raise ParameterError(f"unknown motion kind {self.kind!r}")
         n = len(self.coefficients)
@@ -109,15 +115,12 @@ class Scene:
     motion: MotionSpec
     t_start: float = 0.0
     t_end: float = 1.0
-    intensity_floor: float = 1e-3
 
     def __post_init__(self):
         if self.width < 8 or self.height < 8:
             raise ParameterError("scene dimensions must be at least 8 px")
         if not self.t_start < self.t_end:
             raise ParameterError("scene requires t_start < t_end")
-        if not 0.0 < self.intensity_floor < 1.0:
-            raise ParameterError("intensity_floor must lie in (0, 1)")
 
     def check_time(self, t: float) -> None:
         if not (self.t_start <= t <= self.t_end):
@@ -134,12 +137,12 @@ def _pixel_axes(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _texture(seed: int, height: int, width: int, floor: float) -> np.ndarray:
+def _texture(seed: int, height: int, width: int) -> np.ndarray:
     """Periodic band-limited texture: a sum of smoothed random octaves.
 
     Each octave is a coarse seeded noise grid upsampled with wrap-around
     bilinear interpolation, so the sum tiles seamlessly.  Output values
-    span exactly [floor, 1].
+    span exactly [_INTENSITY_FLOOR, 1].
     """
     ys, xs = _pixel_axes(height, width)
     acc = np.zeros((height, width))
@@ -148,8 +151,8 @@ def _texture(seed: int, height: int, width: int, floor: float) -> np.ndarray:
         acc += gain * bilinear_sample_wrapped(coarse, xs * size / width, ys * size / height)
     span = acc.max() - acc.min()
     if span == 0.0:
-        return np.full((height, width), 0.5 * (floor + 1.0))
-    out = floor + (1.0 - floor) * (acc - acc.min()) / span
+        return np.full((height, width), 0.5 * (_INTENSITY_FLOOR + 1.0))
+    out = _INTENSITY_FLOOR + (1.0 - _INTENSITY_FLOOR) * (acc - acc.min()) / span
     return out
 
 
@@ -173,9 +176,9 @@ def _source_coords(scene: Scene, t: float, xs: np.ndarray, ys: np.ndarray):
 
 
 def render_frame(scene: Scene, t: float) -> np.ndarray:
-    """Render the scene at time t as an (H, W) image in [floor, 1]."""
+    """Render the scene at time t as an (H, W) image in [_INTENSITY_FLOOR, 1]."""
     scene.check_time(t)
-    tex = _texture(scene.texture_seed, scene.height, scene.width, scene.intensity_floor)
+    tex = _texture(scene.texture_seed, scene.height, scene.width)
     ys, xs = _pixel_axes(scene.height, scene.width)
     sx, sy = _source_coords(scene, t, xs, ys)
     return bilinear_sample_wrapped(tex, sx, sy)
@@ -255,9 +258,7 @@ def _peak_displacement(scene: Scene, t_a: float, t_b: float) -> float:
     return float(max(mag_f, mag_b))
 
 
-def adaptive_timestamps(
-    scene: Scene, t_i: float, t_j: float, max_steps: int = 100_000
-) -> list[float]:
+def adaptive_timestamps(scene: Scene, t_i: float, t_j: float) -> list[float]:
     """Frame times such that no pixel moves more than one pixel per step.
 
     Marches from t_i taking steps of 1 / (peak pixel speed); each candidate
@@ -279,9 +280,9 @@ def adaptive_timestamps(
     times = [t_i]
     t = t_i
     while t < t_j:
-        if len(times) > max_steps:
+        if len(times) > _MAX_STEPS:
             raise StepLimitError(
-                f"adaptive sampling exceeded {max_steps} steps; motion too fast"
+                f"adaptive sampling exceeded {_MAX_STEPS} steps; motion too fast"
             )
         speed = _peak_speed(scene, t)
         nxt = t_j if speed <= 0.0 else t + 1.0 / speed

@@ -17,7 +17,12 @@ from scipy.linalg import expm
 
 from evmeshflow import flow_between, seeded_rng
 from evmeshflow.sampling import bilinear_sample_wrapped
-from evmeshflow.scene import _OCTAVE_GAINS, _OCTAVE_SIZES, _velocity_at_points
+from evmeshflow.scene import (
+    _INTENSITY_FLOOR,
+    _OCTAVE_GAINS,
+    _OCTAVE_SIZES,
+    _velocity_at_points,
+)
 
 
 def scalar_simulate(values, times, threshold):
@@ -211,7 +216,7 @@ def scalar_bilinear_sample(values, xs, ys, wrap):
     return np.array(out, dtype=np.float64)
 
 
-def dense_texture(seed, height, width, floor):
+def dense_texture(seed, height, width):
     """The scene texture sampled at dense np.mgrid coordinates."""
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     acc = np.zeros((height, width))
@@ -220,13 +225,13 @@ def dense_texture(seed, height, width, floor):
         acc += gain * bilinear_sample_wrapped(coarse, xs * size / width, ys * size / height)
     span = acc.max() - acc.min()
     if span == 0.0:
-        return np.full((height, width), 0.5 * (floor + 1.0))
-    return floor + (1.0 - floor) * (acc - acc.min()) / span
+        return np.full((height, width), 0.5 * (_INTENSITY_FLOOR + 1.0))
+    return _INTENSITY_FLOOR + (1.0 - _INTENSITY_FLOOR) * (acc - acc.min()) / span
 
 
 def dense_render(scene, t):
     """render_frame with every source coordinate computed at full (H, W) size."""
-    tex = dense_texture(scene.texture_seed, scene.height, scene.width, scene.intensity_floor)
+    tex = dense_texture(scene.texture_seed, scene.height, scene.width)
     ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
     if scene.motion.kind == "translation":
         ox, oy = scene.motion.offset(t)

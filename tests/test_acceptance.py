@@ -22,7 +22,6 @@ from evmeshflow import (
     angular_error,
     backward_warp,
     cdc_fuse,
-    cell_center_pixels,
     confidence_fuse,
     correlate,
     density,
@@ -202,7 +201,7 @@ def test_criterion_06_contrast_selection():
 
 
 def _candidate_centroids(centers, cells):
-    """Per vertex v, the mean center pixel of cells v-2..v+1 clipped to the grid."""
+    """Per vertex v, the mean center of cells v-2..v+1 clipped to the grid."""
     return np.array(
         [centers[max(0, v - 2) : min(cells, v + 2)].mean() for v in range(cells + 1)]
     )
@@ -216,7 +215,7 @@ def test_criterion_07_meshflow_exactness():
     # biased vertex 1), and every vertex's f1 median is the field at the
     # centroid of its candidate cell centers.
     spec = MeshGridSpec(16, 16)
-    h = w = 64  # 4-px cells, so every cell center is a whole pixel
+    h = w = 64  # 4-px cells
 
     constant = _constant_flow(h, w, 3.25, -1.5)
     const_epe = epe(upsample_bilinear(extract_meshflow(constant, spec), h, w), constant)
@@ -239,9 +238,10 @@ def test_criterion_07_meshflow_exactness():
     err = np.hypot(*np.moveaxis(dense - affine, -1, 0))[np.ix_(rows_in, cols_in)]
     interior_max = float(err.max())
 
-    px, py = cell_center_pixels(spec, h, w)
+    centers = (np.arange(16) + 0.5) * 4  # 4-px cells on both axes
     cx, cy = np.meshgrid(
-        _candidate_centroids(px, spec.cells_x), _candidate_centroids(py, spec.cells_y)
+        _candidate_centroids(centers, spec.cells_x),
+        _candidate_centroids(centers, spec.cells_y),
     )
     predicted = f2_smooth(affine_at(cx, cy))
     mesh_dev = float(np.abs(predicted - affine_mesh).max())

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import types
 
@@ -7,6 +8,7 @@ DELETED = (
     "Event",
     "LossWeights",
     "average_pool",
+    "cell_center_pixels",
     "incident_density",
     "read_vox1",
     "residual_update",
@@ -26,6 +28,11 @@ DELETED_KEYWORDS = (
     ("correlate", "normalize"),
     ("cdc_fuse", "correction"),
     ("flow_to_color", "max_mag"),
+    ("epe", "mask"),
+    ("npe", "mask"),
+    ("angular_error", "mask"),
+    ("outlier_pct", "mask"),
+    ("adaptive_timestamps", "max_steps"),
 )
 
 
@@ -56,3 +63,6 @@ def test_deleted_keywords_are_gone():
         assert keyword not in inspect.signature(getattr(evmeshflow, func)).parameters
     assert not hasattr(evmeshflow.WarpedEvents, "on_sensor")
     assert not hasattr(evmeshflow.cmax, "SPLAT_MODES")
+    assert not hasattr(evmeshflow.VertexCandidates, "at")
+    fields = {field.name for field in dataclasses.fields(evmeshflow.Scene)}
+    assert "intensity_floor" not in fields

@@ -215,6 +215,12 @@ class TestPgm:
         assert back[0, 0] == 0.0
         assert back[0, 1] == 1.0
 
+    def test_nan_rejected_before_open(self, tmp_path):
+        path = tmp_path / "nan.pgm"
+        with pytest.raises(DataError, match="NaN"):
+            write_pgm(path, np.array([[0.5, np.nan]]))
+        assert not path.exists()
+
     def test_not_pgm(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P3\n1 1\n255\n0")

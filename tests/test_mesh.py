@@ -16,7 +16,6 @@ from evmeshflow import (
     VertexCandidates,
     alignment_error,
     backward_warp,
-    cell_center_pixels,
     downsample_to_mesh,
     epe,
     extract_meshflow,
@@ -51,8 +50,16 @@ def _candidates(vectors):
 
 def _loop_candidates(flow, spec):
     """Plain-loop propagate: slot oy * 4 + ox of vertex (vy, vx) holds the
-    center-pixel flow of cell (vy - 2 + oy, vx - 2 + ox), NaN off the grid."""
-    px, py = cell_center_pixels(spec, *flow.shape[:2])
+    flow at the center of cell (vy - 2 + oy, vx - 2 + ox), NaN off the grid."""
+    height, width = flow.shape[:2]
+    centers = {}
+    for cy in range(spec.cells_y):
+        for cx in range(spec.cells_x):
+            x = [(cx + 0.5) * (width / spec.cells_x)]
+            y = [(cy + 0.5) * (height / spec.cells_y)]
+            centers[cy, cx] = [
+                scalar_bilinear_sample(flow[..., c], x, y, False)[0] for c in (0, 1)
+            ]
     values = np.full((spec.vertices_y, spec.vertices_x, 16, 2), np.nan)
     for vy in range(spec.vertices_y):
         for vx in range(spec.vertices_x):
@@ -60,7 +67,7 @@ def _loop_candidates(flow, spec):
                 for ox in range(4):
                     cy, cx = vy - 2 + oy, vx - 2 + ox
                     if 0 <= cy < spec.cells_y and 0 <= cx < spec.cells_x:
-                        values[vy, vx, oy * 4 + ox] = flow[py[cy], px[cx]]
+                        values[vy, vx, oy * 4 + ox] = centers[cy, cx]
     return values
 
 
@@ -85,15 +92,14 @@ class TestSpecAndCenters:
         assert spec.vertices_x == 17
         assert spec.vertices_y == 17
 
-    def test_center_pixels_64px_16_cells(self):
-        px, py = cell_center_pixels(MeshGridSpec(16, 16), 64, 64)
-        assert list(px) == [4 * c + 2 for c in range(16)]
-        assert np.array_equal(px, py)
-
-    def test_fractional_cells_round_ties_down(self):
-        # 10 px over 4 cells: centers at 1.25, 3.75, 6.25, 8.75.
-        px, _ = cell_center_pixels(MeshGridSpec(4, 4), 10, 10)
-        assert list(px) == [1, 4, 6, 9]
+    def test_fractional_centers_sampled_exactly(self):
+        # 10 px over 4 cells: centers at 1.25, 3.75, 6.25, 8.75, read off
+        # a field whose x component is the pixel's x coordinate.
+        flow = np.zeros((10, 10, 2))
+        flow[..., 0] = np.arange(10.0)
+        cands = propagate(flow, MeshGridSpec(4, 4))
+        # Vertex (2, 2) receives every cell; slots 0..3 hold cells 0..3 of row 0.
+        assert list(cands.values[2, 2, :4, 0]) == [1.25, 3.75, 6.25, 8.75]
 
 
 class TestPropagate:
@@ -130,10 +136,10 @@ class TestPropagate:
         flow = rng.normal(size=(64, 64, 2))
         spec = MeshGridSpec(16, 16)
         cands = propagate(flow, spec)
-        px, py = cell_center_pixels(spec, 64, 64)
-        # Vertex (2, 2) receives cells (0..3, 0..3).
-        got = {tuple(v) for v in cands.at(2, 2)}
-        want = {tuple(flow[py[cy], px[cx]]) for cy in range(4) for cx in range(4)}
+        # Vertex (2, 2) receives cells (0..3, 0..3), whose centers are the
+        # whole pixels (4 * cx + 2, 4 * cy + 2).
+        got = {tuple(v) for v in cands.values[2, 2]}
+        want = {tuple(flow[4 * cy + 2, 4 * cx + 2]) for cy in range(4) for cx in range(4)}
         assert got == want
 
 
@@ -296,15 +302,13 @@ class TestExtractMeshflow:
         assert epe(robust, background) < epe(naive, background)
 
     def test_odd_pixel_cells_bias_interior_vertices(self):
-        """Known defect, pinned so that it stays visible.
+        """Interior vertices of an affine field are exact for any cell size.
 
-        `cell_center_pixels` rounds each cell center to a whole pixel.  When
-        cells span an odd number of pixels (3 px rows at 48x64 with 16x16
-        cells) every center sits half a pixel above its real position, so
-        an affine field with d(flow_x)/dy = 0.03 is off by 0.5 * 0.03 px even
-        at vertices 3 or more cells in, where even-pixel cells are exact.
-        Sampling the flow at the real center would fix it, but changes every
-        meshflow artifact.
+        Cells 3 px tall (48x64) or 45 px tall (720x1280, the paper's HREM
+        resolution) with 16x16 cells put every center between two pixel
+        rows.  Rounding the center to a pixel would bias every vertex by
+        half a pixel times d(flow_x)/dy = 0.03; the bilinear sample at the
+        real center keeps vertices 3 or more cells in exact.
         """
         spec = MeshGridSpec(16, 16)
 
@@ -318,14 +322,12 @@ class TestExtractMeshflow:
             want = affine_at(vx * (w / spec.cells_x), vy * (h / spec.cells_y))
             return float(np.hypot(*np.moveaxis(mesh - want, -1, 0))[3:-3, 3:-3].max())
 
-        odd = interior_error(48, 64)
-        even = interior_error(64, 64)
+        errors = {size: interior_error(*size) for size in ((48, 64), (64, 64), (720, 1280))}
         print(
-            f"odd-pixel cells: interior vertex error {odd:.3e} px at 48x64, "
-            f"{even:.2e} px at 64x64"
+            "interior vertex error: "
+            + ", ".join(f"{e:.2e} px at {h}x{w}" for (h, w), e in errors.items())
         )
-        assert even <= 1e-9
-        assert abs(odd - 0.5 * 0.03) <= 1e-9
+        assert max(errors.values()) <= 1e-9
 
 
 class TestUpsampleBilinear:

@@ -26,9 +26,7 @@ def _translation_scene(vx=2.0, vy=1.0, seed=5, size=16):
 
 
 def _texture_of(scene):
-    return scene_module._texture(
-        scene.texture_seed, scene.height, scene.width, scene.intensity_floor
-    )
+    return scene_module._texture(scene.texture_seed, scene.height, scene.width)
 
 
 def _affine_scene(seed=5, size=16):
@@ -58,6 +56,13 @@ class TestMotionSpec:
     def test_non_finite_coefficients_rejected(self):
         with pytest.raises(ParameterError):
             MotionSpec("translation", (np.nan, 0.0))
+
+    def test_list_coefficients_equal_tuple(self):
+        as_list = MotionSpec("affine", [0.1, 0, 0, 0, 0.1, 0])
+        as_tuple = MotionSpec("affine", (0.1, 0.0, 0.0, 0.0, 0.1, 0.0))
+        assert as_list == as_tuple
+        frames = [render_frame(Scene(16, 16, 3, m), 0.5) for m in (as_list, as_tuple)]
+        assert frames[0].tobytes() == frames[1].tobytes()
 
     def test_translation_has_no_generator(self):
         with pytest.raises(ParameterError):
@@ -100,13 +105,13 @@ class TestTexture:
     def test_range_spans_floor_to_one(self):
         scene = _translation_scene()
         tex = _texture_of(scene)
-        assert tex.min() == pytest.approx(scene.intensity_floor)
+        assert tex.min() == pytest.approx(scene_module._INTENSITY_FLOOR)
         assert tex.max() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("height, width", [(8, 13), (21, 9), (16, 16)])
     def test_matches_dense_texture_bytes(self, height, width):
         scene = Scene(width, height, 4, MotionSpec("translation", (1.0, 0.0)))
-        expected = dense_texture(4, height, width, scene.intensity_floor)
+        expected = dense_texture(4, height, width)
         assert _texture_of(scene).tobytes() == expected.tobytes()
 
     def test_rng_streams_are_independent(self):
@@ -135,7 +140,7 @@ class TestRenderFrame:
     def test_values_respect_floor(self):
         scene = _translation_scene()
         frame = render_frame(scene, 0.4)
-        assert frame.min() >= scene.intensity_floor - 1e-12
+        assert frame.min() >= scene_module._INTENSITY_FLOOR - 1e-12
         assert frame.max() <= 1.0 + 1e-12
 
 
@@ -276,10 +281,11 @@ class TestAdaptiveTimestamps:
         with pytest.raises(ParameterError):
             adaptive_timestamps(scene, 0.5, 0.5)
 
-    def test_step_cap_raises(self):
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(scene_module, "_MAX_STEPS", 50)
         scene = _translation_scene(1e6, 0.0)
         with pytest.raises(StepLimitError):
-            adaptive_timestamps(scene, 0.0, 1.0, max_steps=50)
+            adaptive_timestamps(scene, 0.0, 1.0)
 
 
 def _dense_timestamps(scene, t_i, t_j):
