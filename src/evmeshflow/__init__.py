@@ -73,7 +73,6 @@ from .fusion import (
 )
 from .mesh import (
     MeshGridSpec,
-    VertexCandidates,
     alignment_error,
     backward_warp,
     downsample_to_mesh,

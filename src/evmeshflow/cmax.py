@@ -27,7 +27,6 @@ class WarpedEvents:
     p: np.ndarray
     width: int
     height: int
-    t_ref: float
 
 
 def warp_events(
@@ -55,7 +54,6 @@ def warp_events(
         p=stream.p.copy(),
         width=stream.width,
         height=stream.height,
-        t_ref=float(t_ref),
     )
 
 

@@ -48,14 +48,6 @@ class MeshGridSpec:
         return self.cells_y + 1
 
 
-@dataclass
-class VertexCandidates:
-    """Per-vertex candidate motions, NaN-padded to the 16-candidate maximum."""
-
-    values: np.ndarray  # (Vy, Vx, 16, 2), NaN marks absent slots
-    counts: np.ndarray  # (Vy, Vx) int
-
-
 def _windows(grid: np.ndarray, size: int) -> np.ndarray:
     """Stacked size x size neighborhoods of an (Ny, Nx, 2) grid.
 
@@ -69,7 +61,7 @@ def _windows(grid: np.ndarray, size: int) -> np.ndarray:
     return np.moveaxis(win, 2, -1).reshape(win.shape[0], win.shape[1], size * size, 2)
 
 
-def propagate(flow: np.ndarray, spec: MeshGridSpec) -> VertexCandidates:
+def propagate(flow: np.ndarray, spec: MeshGridSpec) -> np.ndarray:
     """Spread each cell's center flow to the vertices around it.
 
     The center of cell (cx, cy) is ((cx + 0.5) * W / cells_x,
@@ -77,7 +69,8 @@ def propagate(flow: np.ndarray, spec: MeshGridSpec) -> VertexCandidates:
     reads the pixel itself wherever the center is a whole pixel.  Cell
     (cx, cy) covers the 3x3-cell rectangle centered on it, so its
     motion reaches vertices (cx-1..cx+2, cy-1..cy+2) clipped to the grid:
-    16 candidates at interior vertices, 4 at the corners.
+    16 candidates at interior vertices, 4 at the corners.  Returns the
+    (Vy, Vx, 16, 2) candidates, NaN in the slots a vertex does not receive.
     """
     flow = _check_flow(flow)
     height, width = flow.shape[:2]
@@ -86,10 +79,7 @@ def propagate(flow: np.ndarray, spec: MeshGridSpec) -> VertexCandidates:
     cx = (np.arange(spec.cells_x) + 0.5) * (width / spec.cells_x)
     cy = (np.arange(spec.cells_y) + 0.5) * (height / spec.cells_y)
     cell_motion = _sample_channels_last(flow, cx[None, :], cy[:, None])
-
-    values = _windows(cell_motion, 4)
-    counts = (~np.isnan(values[..., 0])).sum(axis=2)
-    return VertexCandidates(values, counts)
+    return _windows(cell_motion, 4)
 
 
 def _nanmedian(values: np.ndarray) -> np.ndarray:
@@ -110,14 +100,14 @@ def _nanmedian(values: np.ndarray) -> np.ndarray:
     return median
 
 
-def f1_median(candidates: VertexCandidates) -> np.ndarray:
-    """Componentwise median over each vertex's candidate list.
+def f1_median(candidates: np.ndarray) -> np.ndarray:
+    """Componentwise median over each vertex's NaN-padded candidate list.
 
     Even-sized lists average the two middle values per component.
     """
-    if np.any(candidates.counts == 0):
+    if np.any(np.all(np.isnan(candidates[..., 0]), axis=2)):
         raise DataError("a vertex has no motion candidates")
-    return _nanmedian(candidates.values)
+    return _nanmedian(candidates)
 
 
 def f2_smooth(mesh: np.ndarray) -> np.ndarray:

@@ -20,12 +20,13 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DataError, ParameterError, RangeError, StepLimitError
-from .sampling import bilinear_sample_wrapped
+from .sampling import bilinear_sample
 
 _OCTAVE_SIZES = (4, 8, 16, 32)
 _OCTAVE_GAINS = (1.0, 0.5, 0.25, 0.125)
 _INTENSITY_FLOOR = 1e-3  # darkest texture value; keeps log intensity finite
 _MAX_STEPS = 100_000  # adaptive_timestamps gives up beyond this many frames
+_WRAP_PAD = 2  # wrapped rows and columns appended to every periodic grid
 
 MOTION_KINDS = ("translation", "affine", "homography")
 
@@ -74,6 +75,8 @@ class MotionSpec:
 
     def _translation(self) -> tuple[float, float, float, float]:
         """(vx, vy, ax, ay); a translation without acceleration has a = 0."""
+        if self.kind != "translation":
+            raise ParameterError(f"{self.kind} motion has no translation offset or velocity")
         vx, vy = self.coefficients[:2]
         ax, ay = (self.coefficients[2:] if len(self.coefficients) == 4 else (0.0, 0.0))
         return vx, vy, ax, ay
@@ -136,24 +139,50 @@ def _pixel_axes(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return ys, xs
 
 
+def _wrap_pad(grid: np.ndarray) -> np.ndarray:
+    """An (H, W) periodic grid followed by its first _WRAP_PAD rows and columns."""
+    return np.pad(grid, ((0, _WRAP_PAD), (0, _WRAP_PAD)), mode="wrap")
+
+
+def _sample_torus(padded: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bilinear read of a wrap-padded grid as a torus of its unpadded size.
+
+    Positions are reduced modulo that size; np.mod may round a tiny
+    negative position up to the size itself, and the second padded row
+    and column then hold the wrapped neighbour, as on the torus.
+    """
+    height, width = padded.shape[0] - _WRAP_PAD, padded.shape[1] - _WRAP_PAD
+    return bilinear_sample(padded, np.mod(x, width), np.mod(y, height))
+
+
 @lru_cache(maxsize=64)
 def _texture(seed: int, height: int, width: int) -> np.ndarray:
-    """Periodic band-limited texture: a sum of smoothed random octaves.
+    """Periodic band-limited texture, wrap-padded for _sample_torus.
 
-    Each octave is a coarse seeded noise grid upsampled with wrap-around
-    bilinear interpolation, so the sum tiles seamlessly.  Output values
-    span exactly [_INTENSITY_FLOOR, 1].
+    The texture is a sum of smoothed random octaves.  Each octave is a
+    coarse seeded noise grid upsampled with wrap-around bilinear
+    interpolation, so the sum tiles seamlessly.  Values span exactly
+    [_INTENSITY_FLOOR, 1]; the result has shape (H + _WRAP_PAD, W + _WRAP_PAD).
     """
     ys, xs = _pixel_axes(height, width)
     acc = np.zeros((height, width))
     for octave, (size, gain) in enumerate(zip(_OCTAVE_SIZES, _OCTAVE_GAINS)):
-        coarse = seeded_rng(seed, octave).standard_normal((size, size))
-        acc += gain * bilinear_sample_wrapped(coarse, xs * size / width, ys * size / height)
+        coarse = _wrap_pad(seeded_rng(seed, octave).standard_normal((size, size)))
+        acc += gain * _sample_torus(coarse, xs * size / width, ys * size / height)
     span = acc.max() - acc.min()
     if span == 0.0:
-        return np.full((height, width), 0.5 * (_INTENSITY_FLOOR + 1.0))
-    out = _INTENSITY_FLOOR + (1.0 - _INTENSITY_FLOOR) * (acc - acc.min()) / span
-    return out
+        return _wrap_pad(np.full((height, width), 0.5 * (_INTENSITY_FLOOR + 1.0)))
+    return _wrap_pad(_INTENSITY_FLOOR + (1.0 - _INTENSITY_FLOOR) * (acc - acc.min()) / span)
+
+
+def _project(m: np.ndarray, xs: np.ndarray, ys: np.ndarray, doing: str):
+    """Apply the 3x3 homogeneous map m to the points (xs, ys)."""
+    w0 = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
+    w1 = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
+    w2 = m[2, 0] * xs + m[2, 1] * ys + m[2, 2]
+    if not np.all(np.isfinite(w2)) or np.any(w2 <= 0.0):
+        raise DataError(f"projective depth vanished while {doing} the motion")
+    return w0 / w2, w1 / w2
 
 
 def _source_coords(scene: Scene, t: float, xs: np.ndarray, ys: np.ndarray):
@@ -166,13 +195,7 @@ def _source_coords(scene: Scene, t: float, xs: np.ndarray, ys: np.ndarray):
     if scene.motion.kind == "translation":
         ox, oy = scene.motion.offset(t)
         return xs - ox, ys - oy
-    inv = np.linalg.inv(_matrix_at(scene.motion, t))
-    w0 = inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]
-    w1 = inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]
-    w2 = inv[2, 0] * xs + inv[2, 1] * ys + inv[2, 2]
-    if not np.all(np.isfinite(w2)) or np.any(w2 <= 0.0):
-        raise DataError("projective depth vanished while inverting the motion")
-    return w0 / w2, w1 / w2
+    return _project(np.linalg.inv(_matrix_at(scene.motion, t)), xs, ys, "inverting")
 
 
 def render_frame(scene: Scene, t: float) -> np.ndarray:
@@ -180,8 +203,7 @@ def render_frame(scene: Scene, t: float) -> np.ndarray:
     scene.check_time(t)
     tex = _texture(scene.texture_seed, scene.height, scene.width)
     ys, xs = _pixel_axes(scene.height, scene.width)
-    sx, sy = _source_coords(scene, t, xs, ys)
-    return bilinear_sample_wrapped(tex, sx, sy)
+    return _sample_torus(tex, *_source_coords(scene, t, xs, ys))
 
 
 def flow_at_points(
@@ -200,12 +222,8 @@ def flow_at_points(
             np.full_like(ys, oyj - oyi),
         )
     m = _matrix_at(scene.motion, t_j) @ np.linalg.inv(_matrix_at(scene.motion, t_i))
-    w0 = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
-    w1 = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
-    w2 = m[2, 0] * xs + m[2, 1] * ys + m[2, 2]
-    if not np.all(np.isfinite(w2)) or np.any(w2 <= 0.0):
-        raise DataError("projective depth vanished while composing the motion")
-    return w0 / w2 - xs, w1 / w2 - ys
+    px, py = _project(m, xs, ys, "composing")
+    return px - xs, py - ys
 
 
 def flow_between(scene: Scene, t_i: float, t_j: float) -> np.ndarray:

@@ -5,8 +5,8 @@ event oracle walks one pixel at a time, the IWE and voxel oracles add one
 event at a time, the correlation oracle uses plain nested loops, and the
 subsampling oracles compare every event with every seed.  The
 adaptive-sampling audits evaluate every pixel of the dense velocity and
-flow fields, and the rendering oracle samples at dense np.mgrid
-coordinates.  Agreement between the two styles is what the equivalence
+flow fields, and the rendering oracle reads every pixel of a dense
+np.mgrid with the scalar bilinear sampler.  Agreement between the two styles is what the equivalence
 tests assert.
 """
 
@@ -16,7 +16,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from evmeshflow import flow_between, seeded_rng
-from evmeshflow.sampling import bilinear_sample_wrapped
 from evmeshflow.scene import (
     _INTENSITY_FLOOR,
     _OCTAVE_GAINS,
@@ -189,7 +188,8 @@ def scalar_bilinear_sample(values, xs, ys, wrap):
     Clamped (wrap=False) positions clip to the grid and read edge values;
     wrapped ones reduce modulo the grid size. Each sample sums its four
     corners in the package's term and operand order, so the result must
-    match bilinear_sample and bilinear_sample_wrapped byte for byte.
+    match bilinear_sample, and the scene's toroidal reader of wrap-padded
+    grids, byte for byte.
     """
     height, width = values.shape
     out = []
@@ -216,13 +216,19 @@ def scalar_bilinear_sample(values, xs, ys, wrap):
     return np.array(out, dtype=np.float64)
 
 
+def _scalar_wrapped(values, xs, ys):
+    """scalar_bilinear_sample with wrap over broadcast position arrays."""
+    xs, ys = np.broadcast_arrays(xs, ys)
+    return scalar_bilinear_sample(values, xs.ravel(), ys.ravel(), True).reshape(xs.shape)
+
+
 def dense_texture(seed, height, width):
     """The scene texture sampled at dense np.mgrid coordinates."""
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     acc = np.zeros((height, width))
     for octave, (size, gain) in enumerate(zip(_OCTAVE_SIZES, _OCTAVE_GAINS)):
         coarse = seeded_rng(seed, octave).standard_normal((size, size))
-        acc += gain * bilinear_sample_wrapped(coarse, xs * size / width, ys * size / height)
+        acc += gain * _scalar_wrapped(coarse, xs * size / width, ys * size / height)
     span = acc.max() - acc.min()
     if span == 0.0:
         return np.full((height, width), 0.5 * (_INTENSITY_FLOOR + 1.0))
@@ -230,14 +236,15 @@ def dense_texture(seed, height, width):
 
 
 def dense_render(scene, t):
-    """render_frame with every source coordinate computed at full (H, W) size."""
+    """render_frame with every source coordinate computed at full (H, W) size
+    and every pixel read by the scalar toroidal sampler."""
     tex = dense_texture(scene.texture_seed, scene.height, scene.width)
     ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
     if scene.motion.kind == "translation":
         ox, oy = scene.motion.offset(t)
-        return bilinear_sample_wrapped(tex, xs - ox, ys - oy)
+        return _scalar_wrapped(tex, xs - ox, ys - oy)
     inv = np.linalg.inv(expm(t * scene.motion.generator()))
     w0 = inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]
     w1 = inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]
     w2 = inv[2, 0] * xs + inv[2, 1] * ys + inv[2, 2]
-    return bilinear_sample_wrapped(tex, w0 / w2, w1 / w2)
+    return _scalar_wrapped(tex, w0 / w2, w1 / w2)

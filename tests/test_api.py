@@ -6,6 +6,7 @@ import evmeshflow
 
 DELETED = (
     "Event",
+    "VertexCandidates",
     "LossWeights",
     "average_pool",
     "cell_center_pixels",
@@ -63,6 +64,8 @@ def test_deleted_keywords_are_gone():
         assert keyword not in inspect.signature(getattr(evmeshflow, func)).parameters
     assert not hasattr(evmeshflow.WarpedEvents, "on_sensor")
     assert not hasattr(evmeshflow.cmax, "SPLAT_MODES")
-    assert not hasattr(evmeshflow.VertexCandidates, "at")
+    assert not hasattr(evmeshflow.sampling, "bilinear_sample_wrapped")
+    assert not hasattr(evmeshflow.sampling, "_blend")
+    assert "t_ref" not in {field.name for field in dataclasses.fields(evmeshflow.WarpedEvents)}
     fields = {field.name for field in dataclasses.fields(evmeshflow.Scene)}
     assert "intensity_floor" not in fields

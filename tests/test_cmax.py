@@ -94,7 +94,7 @@ class TestWarpEvents:
 class TestAccumulateIwe:
     def test_bilinear_half_pixel_split(self):
         warped = WarpedEvents(
-            np.array([0.5]), np.array([0.0]), np.array([1]), 4, 4, 0.0
+            np.array([0.5]), np.array([0.0]), np.array([1]), 4, 4
         )
         img = accumulate_iwe(warped)
         assert img[0, 0] == pytest.approx(0.5)
@@ -103,13 +103,13 @@ class TestAccumulateIwe:
 
     def test_empty_input_zero_image(self):
         warped = WarpedEvents(
-            np.empty(0), np.empty(0), np.empty(0, dtype=np.int8), 4, 4, 0.0
+            np.empty(0), np.empty(0), np.empty(0, dtype=np.int8), 4, 4
         )
         assert not accumulate_iwe(warped).any()
 
     def test_off_sensor_mass_discarded(self):
         warped = WarpedEvents(
-            np.array([-3.0, 1.0]), np.array([0.0, 1.0]), np.array([1, 1]), 4, 4, 0.0
+            np.array([-3.0, 1.0]), np.array([0.0, 1.0]), np.array([1, 1]), 4, 4
         )
         img = accumulate_iwe(warped)
         assert img.sum() == pytest.approx(1.0)
@@ -118,7 +118,7 @@ class TestAccumulateIwe:
         # floor(1e300) overflows int64; the suite turns the cast warning into
         # an error.
         warped = WarpedEvents(
-            np.array([1e300, 1.5]), np.array([0.0, 1.0]), np.array([1, 1]), 4, 4, 0.0
+            np.array([1e300, 1.5]), np.array([0.0, 1.0]), np.array([1, 1]), 4, 4
         )
         assert accumulate_iwe(warped).sum() == 1.0
 
@@ -126,11 +126,11 @@ class TestAccumulateIwe:
         rng = seeded_rng(2)
         xw = rng.uniform(-1, 8, size=50)
         yw = rng.uniform(-1, 8, size=50)
-        warped = WarpedEvents(xw, yw, np.ones(50, dtype=np.int8), 8, 8, 0.0)
+        warped = WarpedEvents(xw, yw, np.ones(50, dtype=np.int8), 8, 8)
         img = accumulate_iwe(warped)
         assert img.sum() <= 50 + 1e-9
         inside = WarpedEvents(
-            np.clip(xw, 0, 7), np.clip(yw, 0, 7), warped.p, 8, 8, 0.0
+            np.clip(xw, 0, 7), np.clip(yw, 0, 7), warped.p, 8, 8
         )
         assert accumulate_iwe(inside).sum() == pytest.approx(50.0)
 
@@ -167,7 +167,6 @@ def _warped_events(draw):
         np.array(p, dtype=np.int8),
         width,
         height,
-        0.0,
     )
 
 

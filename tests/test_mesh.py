@@ -13,7 +13,6 @@ from evmeshflow import (
     ParameterError,
     Scene,
     ShapeError,
-    VertexCandidates,
     alignment_error,
     backward_warp,
     downsample_to_mesh,
@@ -40,12 +39,16 @@ def _constant_flow(h, w, u, v):
 
 
 def _candidates(vectors):
-    """Single-vertex VertexCandidates from a list of (u, v) pairs."""
+    """Single-vertex (1, 1, 16, 2) candidates from a list of (u, v) pairs."""
     values = np.full((1, 1, 16, 2), np.nan)
     for k, vec in enumerate(vectors):
         values[0, 0, k] = vec
-    counts = np.array([[len(vectors)]])
-    return VertexCandidates(values, counts)
+    return values
+
+
+def _counts(candidates):
+    """Candidates present per vertex: the slots that are not NaN."""
+    return (~np.isnan(candidates[..., 0])).sum(axis=2)
 
 
 def _loop_candidates(flow, spec):
@@ -99,7 +102,7 @@ class TestSpecAndCenters:
         flow[..., 0] = np.arange(10.0)
         cands = propagate(flow, MeshGridSpec(4, 4))
         # Vertex (2, 2) receives every cell; slots 0..3 hold cells 0..3 of row 0.
-        assert list(cands.values[2, 2, :4, 0]) == [1.25, 3.75, 6.25, 8.75]
+        assert list(cands[2, 2, :4, 0]) == [1.25, 3.75, 6.25, 8.75]
 
 
 class TestPropagate:
@@ -110,26 +113,26 @@ class TestPropagate:
     def test_constant_flow_constant_candidates(self):
         flow = _constant_flow(32, 32, 2.0, -1.0)
         cands = propagate(flow, MeshGridSpec(4, 4))
-        present = cands.values[~np.isnan(cands.values)]
+        present = cands[~np.isnan(cands)]
         assert present.size > 0
-        vals = cands.values.reshape(-1, 2)
+        vals = cands.reshape(-1, 2)
         vals = vals[~np.isnan(vals[:, 0])]
         assert np.all(vals[:, 0] == 2.0)
         assert np.all(vals[:, 1] == -1.0)
 
     def test_interior_vertex_gets_16_candidates(self):
         cands = propagate(np.zeros((64, 64, 2)), MeshGridSpec(16, 16))
-        assert np.all(cands.counts[2:-2, 2:-2] == 16)
+        assert np.all(_counts(cands)[2:-2, 2:-2] == 16)
 
     def test_corner_vertex_gets_4_candidates(self):
         cands = propagate(np.zeros((64, 64, 2)), MeshGridSpec(16, 16))
         for vy, vx in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
-            assert cands.counts[vy, vx] == 4
+            assert _counts(cands)[vy, vx] == 4
 
     def test_edge_vertex_gets_8_candidates(self):
         cands = propagate(np.zeros((64, 64, 2)), MeshGridSpec(16, 16))
-        assert cands.counts[0, 5] == 8
-        assert cands.counts[5, 0] == 8
+        assert _counts(cands)[0, 5] == 8
+        assert _counts(cands)[5, 0] == 8
 
     def test_candidates_come_from_cell_centers(self):
         rng = seeded_rng(4)
@@ -138,7 +141,7 @@ class TestPropagate:
         cands = propagate(flow, spec)
         # Vertex (2, 2) receives cells (0..3, 0..3), whose centers are the
         # whole pixels (4 * cx + 2, 4 * cy + 2).
-        got = {tuple(v) for v in cands.values[2, 2]}
+        got = {tuple(v) for v in cands[2, 2]}
         want = {tuple(flow[4 * cy + 2, 4 * cx + 2]) for cy in range(4) for cx in range(4)}
         assert got == want
 
@@ -159,8 +162,7 @@ class TestPropagate:
         spec = MeshGridSpec(cells_x, cells_y)
         cands = propagate(flow, spec)
         want = _loop_candidates(flow, spec)
-        assert np.array_equal(cands.values, want, equal_nan=True)
-        assert np.array_equal(cands.counts, (~np.isnan(want[..., 0])).sum(axis=2))
+        assert np.array_equal(cands, want, equal_nan=True)
 
 
 class TestF1Median:
@@ -193,8 +195,8 @@ class TestF1Median:
         flow = rng.normal(size=(64, 64, 2))
         cands = propagate(flow, MeshGridSpec(16, 16))
         mesh = f1_median(cands)
-        lo = np.nanmin(cands.values, axis=2)
-        hi = np.nanmax(cands.values, axis=2)
+        lo = np.nanmin(cands, axis=2)
+        hi = np.nanmax(cands, axis=2)
         assert np.all(mesh >= lo - 1e-12)
         assert np.all(mesh <= hi + 1e-12)
 

@@ -68,6 +68,13 @@ class TestMotionSpec:
         with pytest.raises(ParameterError):
             MotionSpec("translation", (1.0, 0.0)).generator()
 
+    @pytest.mark.parametrize("kind, n", [("affine", 6), ("homography", 8)])
+    @pytest.mark.parametrize("method", ["offset", "velocity"])
+    def test_matrix_kinds_have_no_translation(self, method, kind, n):
+        motion = MotionSpec(kind, (0.1,) + (0.0,) * (n - 1))
+        with pytest.raises(ParameterError):
+            getattr(motion, method)(1.0)
+
 
 class TestScene:
     def test_dimensions_validated(self):
@@ -112,7 +119,13 @@ class TestTexture:
     def test_matches_dense_texture_bytes(self, height, width):
         scene = Scene(width, height, 4, MotionSpec("translation", (1.0, 0.0)))
         expected = dense_texture(4, height, width)
-        assert _texture_of(scene).tobytes() == expected.tobytes()
+        tex = _texture_of(scene)
+        assert tex[:height, :width].tobytes() == expected.tobytes()
+        # The wrap pad repeats the first rows and columns.
+        pad = scene_module._WRAP_PAD
+        assert tex.shape == (height + pad, width + pad)
+        assert np.array_equal(tex[height:], tex[:pad])
+        assert np.array_equal(tex[:, width:], tex[:, :pad])
 
     def test_rng_streams_are_independent(self):
         a = seeded_rng(3, 0).standard_normal(8)
