@@ -398,5 +398,6 @@ def main(argv=None) -> int:
     print(summary)
     return 0
 
+
 if __name__ == "__main__":
     sys.exit(main())

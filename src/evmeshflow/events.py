@@ -7,13 +7,14 @@ crossing of reference +/- threshold, advancing the reference by one
 threshold step per event.  A change of k thresholds within one interval
 therefore emits floor(k) events with linearly interpolated timestamps, and
 sub-threshold residue carries over to later frames instead of being reset.
+The guided subsamplers build a scipy KD-tree; scipy is imported on the first
+such call, never at import.
 """
 
 from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataError, ParameterError, ShapeError, StepLimitError, _check_flow
 from .scene import Scene, render_frame
@@ -259,6 +260,19 @@ def _check_subsample_args(stream, flow, keep_ratio, tolerance):
 
 # Candidate (event, seed) pairs tested per chunk; bounds the query's memory.
 _PAIR_BUDGET = 2**14
+
+
+def cKDTree(points):
+    """`scipy.spatial.cKDTree(points)`, with scipy imported on the first call.
+
+    Importing `scipy.spatial` takes about four times as long as importing
+    numpy, so only guided subsampling pays for it.  `_near_seed_paths`
+    looks this name up as a module global, so wrapping `events.cKDTree`
+    sees every tree built.
+    """
+    from scipy.spatial import cKDTree as tree_cls
+
+    return tree_cls(points)
 
 
 def _near_seed_paths(stream, flow, spacing, tolerance, candidates):

@@ -9,7 +9,8 @@ downstream.
 Coordinates are pixel units: x runs along the width, y along the height,
 and pixel (x, y) samples the continuous plane at exactly (x, y).  Content
 that leaves the texture wraps around toroidally, so every rendered pixel is
-always defined.
+always defined.  Affine and homography warps come from `scipy.linalg.expm`,
+imported on the first matrix-motion call; translation scenes never load scipy.
 """
 
 import math
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DataError, ParameterError, RangeError, StepLimitError
 from .sampling import bilinear_sample
@@ -105,6 +105,8 @@ class MotionSpec:
 
 @lru_cache(maxsize=4096)
 def _matrix_at(motion: MotionSpec, t: float) -> np.ndarray:
+    from scipy.linalg import expm  # loaded by the first matrix-motion scene
+
     return expm(t * motion.generator())
 
 

@@ -1,6 +1,11 @@
 import dataclasses
 import inspect
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import evmeshflow
 
@@ -69,3 +74,66 @@ def test_deleted_keywords_are_gone():
     assert "t_ref" not in {field.name for field in dataclasses.fields(evmeshflow.WarpedEvents)}
     fields = {field.name for field in dataclasses.fields(evmeshflow.Scene)}
     assert "intensity_floor" not in fields
+
+
+# Prints the scipy modules loaded so far, as one JSON line.
+_PRINT_SCIPY = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _fresh_python(code, *args):
+    """Run `code` in a new interpreter; return its stdout lines."""
+    env = dict(os.environ, PYTHONPATH=str(Path(evmeshflow.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_import_loads_no_scipy():
+    # Importing scipy.spatial takes several times as long as numpy; only
+    # the features that need scipy may load it.
+    lines = _fresh_python(
+        "import evmeshflow, evmeshflow.cli\n"
+        "assert callable(evmeshflow.events.cKDTree)\n" + _PRINT_SCIPY
+    )
+    assert json.loads(lines[-1]) == []
+
+
+_CLI_CHAIN = """
+import sys
+from pathlib import Path
+from evmeshflow.cli import main
+
+root = Path(sys.argv[1])
+scene = ["width=32", "height=32", "velocity=8,-3"]
+flo = root / "gen" / "flow_0000_0001.flo1"
+events = root / "simulate" / "events_00_c0.1.evt1"
+
+
+def run(command, *args, out=None):
+    assert main([command, "--out", str(root / (out or command)), *args]) == 0, command
+
+
+run("gen", *scene)
+run("simulate", *scene, "thresholds=0.1,0.4")
+run("select", f"candidates={events},{root / 'simulate' / 'events_01_c0.4.evt1'}", f"flow={flo}")
+run("meshflow", f"flow={flo}", "cells=4")
+run("eval", f"pred={flo}", f"gt={flo}")
+""" + _PRINT_SCIPY + """
+run("subsample", f"events={events}", f"flow={flo}", "keep_ratio=0.25")
+run("gen", "width=32", "height=32", "motion=affine",
+    "generator=0.035,-0.07,4.5,0.07,0.025,-3.5", out="gen_affine")
+""" + _PRINT_SCIPY
+
+
+def test_scipy_loads_on_first_use(tmp_path):
+    before, after = [
+        json.loads(line) for line in _fresh_python(_CLI_CHAIN, tmp_path) if line[0] == "["
+    ]
+    assert before == []
+    assert {"scipy.spatial", "scipy.linalg"} <= set(after)
