@@ -24,7 +24,6 @@ from .cmax import two_sided_components
 from .errors import FormatError, ParameterError
 from .events import (
     multi_density_sweep,
-    render_sequence,
     spatial_guided_subsample,
     temporal_guided_subsample,
 )
@@ -174,6 +173,14 @@ def cmd_gen(cfg, out: Path, seed: int):
     return entries, f"gen: {len(times)} frames, {len(flows)} intervals"
 
 
+def _rendered(scene: Scene, times):
+    """(t, frame) pairs rendered one at a time, each in its own render stage."""
+    for t in times:
+        with _stage("render"):
+            frame = render_frame(scene, t)
+        yield t, frame
+
+
 def _sweep(cfg, seed: int):
     with _config(cfg):
         scene = _scene_from_config(cfg, seed)
@@ -181,9 +188,8 @@ def _sweep(cfg, seed: int):
         bins = int(cfg.pop("bins", "5"))
     with _stage("render"):
         times = adaptive_timestamps(scene, scene.t_start, scene.t_end)
-        frames = render_sequence(scene, times)
     with _stage("simulate"):
-        streams = multi_density_sweep(frames, thresholds)
+        streams = multi_density_sweep(_rendered(scene, times), thresholds)
     with _stage("voxelize"):
         densities = [density(voxelize(s, bins)) for s in streams]
     return thresholds, streams, densities

@@ -7,6 +7,10 @@ crossing of reference +/- threshold, advancing the reference by one
 threshold step per event.  A change of k thresholds within one interval
 therefore emits floor(k) events with linearly interpolated timestamps, and
 sub-threshold residue carries over to later frames instead of being reset.
+`multi_density_sweep` is the one simulator: it reads, validates and logs
+each frame once, as it arrives, and advances one reference array per
+threshold in lockstep, so the frame stack is never built and memory does
+not grow with the frame count; `simulate` is its one-threshold case.
 The guided subsamplers build a scipy KD-tree; scipy is imported on the first
 such call, never at import.
 """
@@ -94,6 +98,10 @@ class FrameSequence:
         if not np.all(self.values > 0.0):
             raise DataError("intensities must be positive for log conversion")
 
+    def __iter__(self):
+        """(time, frame) pairs in time order, as the simulator reads them."""
+        return zip(self.times.tolist(), self.values)
+
     @property
     def height(self) -> int:
         return self.values.shape[1]
@@ -114,11 +122,21 @@ def _us(seconds: np.ndarray) -> np.ndarray:
     return np.rint(np.asarray(seconds, dtype=np.float64) * 1e6).astype(np.int64)
 
 
-def _sorted_events(t, pix, p, width, height, t_start, t_end):
-    """Events (t, flat pixel y*W + x, p) in (t, y, x, p) order, as (x, y, t, p).
+def _event_keys(t, pix, p, plane, t_start):
+    """One int64 sort key ((t - t_start)*H*W + pix)*2 + (p > 0) per event.
 
-    One int64 key ((t - t_start)*H*W + pix)*2 + (p > 0) orders the events;
-    equal keys are equal events, so the sorted key alone gives the arrays.
+    t is in microseconds and pix = y*W + x, so key order is (t, y, x, p)
+    order, and equal keys are equal events.
+    """
+    return ((t - int(t_start)) * int(plane) + pix) * 2 + (p > 0)
+
+
+def _sorted_events(key, width, height, t_start, t_end):
+    """Sort event keys in place and decode them to (x, y, t, p) arrays.
+
+    Raises ParameterError when keys over [t_start, t_end] overflow int64,
+    (t_end - t_start + 1) * 2 * H * W > 2**63 - 1; such keys have wrapped,
+    so they are never decoded.
     """
     t_start, t_end, plane = int(t_start), int(t_end), int(width) * int(height)
     if (t_end - t_start + 1) * 2 * plane > np.iinfo(np.int64).max:
@@ -126,104 +144,176 @@ def _sorted_events(t, pix, p, width, height, t_start, t_end):
             f"a {t_end - t_start} us span on a {width}x{height} sensor "
             "overflows the int64 event sort key"
         )
-    key = ((t - t_start) * plane + pix) * 2 + (p > 0)
     key.sort()
     dt, pix = np.divmod(key >> 1, plane)
     y, x = np.divmod(pix, width)
     return x, y, dt + t_start, (key & 1).astype(np.int8) * 2 - 1
 
 
-# Events one `simulate` call may emit: 66x the 1,009,082 events of a
+# Events one threshold of a sweep may emit: 66x the 1,009,082 events of a
 # 256x256, v = (40, -15) px/s, c = 0.03 sweep.
 _EVENT_BUDGET = 2**26
 
 
-def simulate(frames: FrameSequence, threshold: float) -> EventStream:
-    """Run the threshold-crossing simulator over a frame sequence.
+def _interval_events(ref, gap, la, lb, ta, tb, threshold, cand):
+    """Crossings of one interval as (flat pixels, seconds, +-1.0 signs), or None.
 
-    Within an interval every pixel moves its reference toward the next
-    frame's log intensity only, so its direction is fixed once (up when
-    lb >= ref).  Crossings are emitted in rounds; a pixel that does not
-    fire in a round keeps its reference and so cannot fire later in that
-    interval, so each round tests only the pixels that fired in the one
-    before.
+    `cand` holds every pixel that can fire (a superset is fine); the others
+    keep their references.  Rounds run on signed levels: with s = +-1 a
+    pixel's direction, s * ref steps up by `threshold` per event while it
+    stays at or below s * lb.  Negation is exact and round-to-nearest is
+    symmetric, so s * (ref + s * threshold) == s * ref + threshold exactly,
+    and the targets, tests and timestamps equal those of stepping `ref`
+    itself.  Each round after the first tests only the pixels that fired
+    in the round before, carrying their levels forward, so `ref` is
+    gathered and written once.  Timestamps are interpolated once, on all
+    rounds.
+    """
+    sign = np.where(gap[cand] >= 0, 1.0, -1.0)
+    level = sign * ref[cand]
+    end = sign * lb[cand]
+    up = level + threshold
+    pos = np.flatnonzero(end >= up)
+    if not pos.size:
+        return None
+    up, end = up[pos], end[pos]
+    fired, ups = [], []
+    while True:
+        fired.append(pos)
+        ups.append(up)
+        level[pos] = up
+        up = up + threshold
+        keep = np.flatnonzero(end >= up)
+        if not keep.size:
+            break
+        pos, up, end = pos[keep], up[keep], end[keep]
+    ref[cand] = sign * level
+    pos = np.concatenate(fired)
+    pix, sign = cand[pos], sign[pos]
+    target = sign * np.concatenate(ups)
+    la, lb = la[pix], lb[pix]
+    return pix, ta + (target - la) / (lb - la) * (tb - ta), sign
+
+
+def multi_density_sweep(frames, thresholds) -> list[EventStream]:
+    """Simulate one stream per contrast threshold in one pass over the frames.
+
+    Each frame is validated and converted to log intensity once, as it
+    arrives; one reference level per threshold then advances over the
+    interval it closes, so the frames are never stacked and `frames` may
+    be a generator.  Within an interval every pixel moves its reference
+    toward the next frame's log intensity only, so its direction is fixed
+    once (up when lb >= ref).  Crossings are emitted in rounds; a pixel
+    that does not fire in a round keeps its reference and so cannot fire
+    later in that interval, so each round tests only the pixels that fired
+    in the one before.
 
     Args:
-        frames: positive intensity frames with strictly increasing times.
-        threshold: log-intensity contrast step, must be > 0.
+        frames: (time in seconds, (H, W) intensity frame) pairs, such as a
+            FrameSequence; times strictly increasing, intensities positive.
+        thresholds: log-intensity contrast steps, each > 0.
 
     Returns:
-        EventStream sorted by (t, y, x, p), timestamps in microseconds.
+        One EventStream per threshold, in the input order, sorted by
+        (t, y, x, p), timestamps in microseconds.
 
     Raises:
-        ParameterError: threshold <= 0; a threshold at or below the float64
-            spacing of the largest |log intensity|, where a reference level
-            could stop moving; or events were emitted over a span too long
-            for the sort key, (span_us + 1) * 2 * H * W > 2**63 - 1.
-        StepLimitError: the crossings counted before each interval,
-            floor(|lb - ref| / threshold) per pixel, add up to more than
-            _EVENT_BUDGET = 2**26 events.
+        ShapeError: no frames, a frame that is not a non-empty 2-D array,
+            or a frame whose shape differs from the first.
+        DataError: an intensity <= 0, infinite or NaN, or a time not above
+            the previous frame's.
+        ParameterError: no thresholds or one <= 0; a threshold at or below
+            the float64 spacing of the largest |log intensity| read so far,
+            where a reference level could stop moving (checked as each
+            frame arrives, before the interval it closes is simulated); or
+            events were emitted over a span too long for the sort key,
+            (span_us + 1) * 2 * H * W > 2**63 - 1.
+        StepLimitError: for one threshold, the crossings counted before
+            each interval, floor(|lb - ref| / threshold) per pixel, add up
+            to more than _EVENT_BUDGET = 2**26 events.
     """
-    if not threshold > 0.0:
-        raise ParameterError("threshold must be positive")
-    logs = np.log(frames.values)
-    # References stay within [-max|log|, max|log|], so above this spacing
-    # every step moves a reference level.
-    resolution = float(np.spacing(max(logs.max(), -logs.min())))
-    if threshold <= resolution:
-        raise ParameterError(
-            f"threshold {threshold!r} is at or below the float64 resolution "
-            f"of the log intensities ({resolution!r})"
-        )
-    n = logs.shape[0]
-    t_start = int(_us(frames.times[:1])[0])
-    t_end = int(_us(frames.times[-1:])[0])
-
-    pix_all, ts_all, ps_all = [], [], []
-    ref = logs[0].ravel().copy()
-    expected = 0.0
-    for k in range(n - 1):
-        la, lb = logs[k].ravel(), logs[k + 1].ravel()
-        ta, tb = float(frames.times[k]), float(frames.times[k + 1])
-        gap = lb - ref
-        expected += np.floor(np.abs(gap) / threshold).sum()
-        if expected > _EVENT_BUDGET:
-            raise StepLimitError(
-                f"threshold {threshold!r} would emit over {_EVENT_BUDGET} events"
-            )
-        sign = np.where(gap >= 0, 1.0, -1.0)
-        active = np.arange(ref.size)
-        while True:
-            target = ref[active] + sign[active] * threshold
-            hit = (lb[active] - target) * sign[active] >= 0
-            if not hit.any():
-                break
-            active, target = active[hit], target[hit]
-            frac = (target - la[active]) / (lb[active] - la[active])
-            te = ta + frac * (tb - ta)
-            pix_all.append(active)
-            ts_all.append(te)
-            ps_all.append(sign[active].astype(np.int8))
-            ref[active] = target
-
-    if not pix_all:
-        empty = np.empty(0, dtype=np.int64)
-        return EventStream(
-            empty, empty, empty, empty, frames.width, frames.height, t_start, t_end
-        )
-    x, y, t, p = _sorted_events(
-        _us(np.concatenate(ts_all)), np.concatenate(pix_all), np.concatenate(ps_all),
-        frames.width, frames.height, t_start, t_end,
-    )
-    return EventStream(x, y, t, p, frames.width, frames.height, t_start, t_end)
-
-
-def multi_density_sweep(frames: FrameSequence, thresholds) -> list[EventStream]:
-    """Simulate one stream per contrast threshold, in the input order."""
     thresholds = [float(c) for c in thresholds]
     if not thresholds:
         raise ParameterError("at least one threshold required")
-    return [simulate(frames, c) for c in thresholds]
+    if not all(c > 0.0 for c in thresholds):
+        raise ParameterError("threshold must be positive")
+    shape = t_start = ta = la = None
+    peak = 0.0
+    refs, expected = None, [0.0] * len(thresholds)
+    keys = [[] for _ in thresholds]
+    for tb, frame in frames:
+        tb, frame = float(tb), np.asarray(frame, dtype=np.float64)
+        if shape is None:
+            if frame.ndim != 2 or not frame.size:
+                raise ShapeError(f"expected non-empty (H, W) frames, got {frame.shape}")
+            shape, t_start = frame.shape, int(_us(tb))
+        elif frame.shape != shape:
+            raise ShapeError(f"frame of shape {frame.shape} after frames of {shape}")
+        elif not tb > ta:
+            raise DataError("frame timestamps must be strictly increasing")
+        if not np.all(frame > 0.0):
+            raise DataError("intensities must be positive for log conversion")
+        lb = np.log(frame).ravel()
+        # References stay within [-peak, peak] of the frames read so far,
+        # so above its spacing every step moves a reference level.
+        peak = max(peak, lb.max(), -lb.min())
+        if not np.isfinite(peak):
+            raise DataError("intensities must be finite")
+        resolution = float(np.spacing(peak))
+        for c in thresholds:
+            if c <= resolution:
+                raise ParameterError(
+                    f"threshold {c!r} is at or below the float64 resolution "
+                    f"of the log intensities ({resolution!r})"
+                )
+        if la is None:
+            refs = [lb.copy() for _ in thresholds]
+        else:
+            for j, (c, ref) in enumerate(zip(thresholds, refs)):
+                gap = lb - ref
+                size = np.abs(gap)
+                expected[j] += np.floor(size / c).sum()
+                if expected[j] > _EVENT_BUDGET:
+                    raise StepLimitError(
+                        f"threshold {c!r} would emit over {_EVENT_BUDGET} events"
+                    )
+                # With S = spacing(peak + c), a pixel fires first when
+                # s * lb >= fl(s * ref + c) >= s * ref + c - S / 2, and the
+                # rounded |gap| is within S of |lb - ref|, so a pixel with
+                # |gap| below fl(c - 2 * S) <= c - 1.5 * S cannot fire.
+                cand = np.flatnonzero(size >= c - 2.0 * np.spacing(peak + c))
+                events = _interval_events(ref, gap, la, lb, ta, tb, c, cand)
+                if events is not None:
+                    pix, te, sign = events
+                    keys[j].append(_event_keys(_us(te), pix, sign, lb.size, t_start))
+        ta, la = tb, lb
+    if shape is None:
+        raise ShapeError("no frames to simulate")
+
+    height, width = shape
+    t_end = int(_us(ta))
+    streams = []
+    for parts in keys:
+        if parts:
+            x, y, t, p = _sorted_events(
+                np.concatenate(parts), width, height, t_start, t_end
+            )
+        else:
+            x = y = t = p = np.empty(0, dtype=np.int64)
+        streams.append(EventStream(x, y, t, p, width, height, t_start, t_end))
+    return streams
+
+
+def simulate(frames, threshold: float) -> EventStream:
+    """Run the threshold-crossing simulator for one threshold.
+
+    The one-threshold case of `multi_density_sweep`, which documents the
+    model, the accepted `frames` and the errors raised.  The resolution
+    check runs on the running max|log intensity| as frames arrive, so a
+    threshold too fine for a later frame fails there, after the budget
+    check of the intervals before it.
+    """
+    return multi_density_sweep(frames, [threshold])[0]
 
 
 def shuffle_timestamps(stream: EventStream, rng: np.random.Generator) -> EventStream:
@@ -235,9 +325,12 @@ def shuffle_timestamps(stream: EventStream, rng: np.random.Generator) -> EventSt
     when (t_end - t_start + 1) * 2 * H * W exceeds 2**63 - 1.
     """
     pix = stream.y.astype(np.int64) * stream.width + stream.x
+    key = _event_keys(
+        rng.permutation(stream.t), pix, stream.p, stream.width * stream.height,
+        stream.t_start,
+    )
     x, y, t, p = _sorted_events(
-        rng.permutation(stream.t), pix, stream.p,
-        stream.width, stream.height, stream.t_start, stream.t_end,
+        key, stream.width, stream.height, stream.t_start, stream.t_end
     )
     return replace(stream, x=x, y=y, t=t, p=p)
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import evmeshflow.cli
 import evmeshflow.cmax
 from evmeshflow import (
     MotionSpec,
@@ -160,6 +161,29 @@ class TestSimulateAndDensity:
         )
         assert code == 1
         assert stderr.startswith(f"error [{stage}]:")
+
+    @pytest.mark.parametrize("command", ["simulate", "density"])
+    def test_render_failure_mid_sweep_names_render(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # Frames are rendered one at a time inside the sweep; the failing
+        # render still reports its own stage, not `simulate`.
+        calls = []
+
+        def failing_render(scene, t):
+            calls.append(t)
+            if len(calls) == 3:
+                raise RuntimeError("texture lost")
+            return render_frame(scene, t)
+
+        monkeypatch.setattr(evmeshflow.cli, "render_frame", failing_render)
+        code, _, stderr = _run(
+            capsys, command, "--out", tmp_path / "out", "velocity=8,2", "width=16",
+            "height=16", "thresholds=0.1,0.3",
+        )
+        assert code == 1
+        assert stderr.startswith("error [render]:") and "texture lost" in stderr
+        assert len(calls) == 3
 
 
 def _make_candidates(tmp_path):

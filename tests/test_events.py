@@ -16,6 +16,7 @@ from evmeshflow import (
     adaptive_timestamps,
     flow_between,
     multi_density_sweep,
+    render_frame,
     render_sequence,
     seeded_rng,
     shuffle_timestamps,
@@ -351,6 +352,186 @@ class TestMultiDensitySweep:
         streams = multi_density_sweep(frames, [0.1, 0.2, 0.4, 0.8])
         counts = [len(s) for s in streams]
         assert counts == sorted(counts, reverse=True)
+
+
+def _pairs(frames):
+    """The (t, frame) pairs of a FrameSequence, as a one-shot generator."""
+    return ((float(t), frame.copy()) for t, frame in zip(frames.times, frames.values))
+
+
+class TestStreamedFrames:
+    """`multi_density_sweep` reads any iterable of (t, frame) pairs."""
+
+    def _frames(self):
+        scene = Scene(12, 10, 6, MotionSpec("translation", (5.0, -2.0)))
+        return render_sequence(scene, adaptive_timestamps(scene, 0.0, 1.0))
+
+    def test_generator_matches_frame_sequence(self):
+        frames = self._frames()
+        thresholds = [0.05, 0.2, 0.6]
+        streamed = multi_density_sweep(_pairs(frames), thresholds)
+        stacked = multi_density_sweep(frames, thresholds)
+        assert len(stacked[0]) > 0
+        for a, b in zip(streamed, stacked):
+            assert _stream_bytes(a) == _stream_bytes(b)
+            assert (a.width, a.height, a.t_start, a.t_end) == (
+                b.width, b.height, b.t_start, b.t_end
+            )
+
+    def test_frame_sequence_iterates_as_pairs(self):
+        frames = self._frames()
+        pairs = list(frames)
+        assert [t for t, _ in pairs] == frames.times.tolist()
+        assert all(np.array_equal(f, v) for (_, f), v in zip(pairs, frames.values))
+
+    def test_non_positive_frame_rejected(self):
+        def frames():
+            yield 0.0, np.ones((3, 4))
+            yield 1.0, np.full((3, 4), 1.5)
+            bad = np.ones((3, 4))
+            bad[2, 1] = 0.0
+            yield 2.0, bad
+
+        with pytest.raises(DataError, match="positive"):
+            multi_density_sweep(frames(), [0.1])
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_infinite_frame_rejected(self, first):
+        frames = [(0.0, np.ones((2, 2))), (1.0, np.full((2, 2), 2.0))]
+        frames[0 if first else 1][1][1, 0] = np.inf
+        with pytest.raises(DataError, match="finite"):
+            multi_density_sweep(iter(frames), [0.1])
+
+    def test_nan_frame_rejected(self):
+        frames = ((t, np.full((2, 2), np.nan if t else 1.0)) for t in (0.0, 1.0))
+        with pytest.raises(DataError):
+            multi_density_sweep(frames, [0.1])
+
+    @pytest.mark.parametrize("times", [(0.0, 1.0, 1.0), (0.0, 1.0, 0.5)])
+    def test_time_not_strictly_increasing_rejected(self, times):
+        frames = ((t, np.full((3, 4), 1.0 + t)) for t in times)
+        with pytest.raises(DataError, match="increasing"):
+            multi_density_sweep(frames, [0.1])
+
+    def test_frame_shape_change_rejected(self):
+        frames = ((t, np.ones(shape)) for t, shape in ((0.0, (3, 4)), (1.0, (4, 3))))
+        with pytest.raises(ShapeError):
+            multi_density_sweep(frames, [0.1])
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4), (0, 3)])
+    def test_frame_must_be_non_empty_2d(self, shape):
+        with pytest.raises(ShapeError):
+            multi_density_sweep(iter([(0.0, np.ones(shape))]), [0.1])
+
+    def test_empty_iterable_rejected(self):
+        with pytest.raises(ShapeError):
+            multi_density_sweep(iter([]), [0.1])
+        with pytest.raises(ShapeError):
+            simulate((pair for pair in ()), 0.1)
+
+    def test_single_frame_gives_empty_stream(self):
+        (stream,) = multi_density_sweep(iter([(0.25, np.full((2, 3), 2.0))]), [0.1])
+        assert len(stream) == 0
+        assert (stream.width, stream.height) == (3, 2)
+        assert stream.t_start == stream.t_end == 250_000
+
+    def test_resolution_check_reads_frames_as_they_arrive(self):
+        # Up to frame 1, max|log| is 0.02 with a spacing of 3.5e-18, below
+        # 1e-17; the budget of interval 0 then fails before frame 2 (log 1.0,
+        # spacing 2.2e-16) is read.
+        frames = ((t, np.full((2, 2), np.exp(v))) for t, v in enumerate([0.01, 0.02, 1.0]))
+        with pytest.raises(StepLimitError):
+            multi_density_sweep(frames, [1e-17])
+        frames = ((t, np.full((2, 2), np.exp(v))) for t, v in enumerate([0.01, 1.0]))
+        with pytest.raises(ParameterError, match="resolution"):
+            multi_density_sweep(frames, [1e-17])
+
+
+def _scene_frames(kind, coefficients, width, height, seed):
+    scene = Scene(width, height, seed, MotionSpec(kind, coefficients))
+    return render_sequence(scene, adaptive_timestamps(scene, 0.0, 1.0))
+
+
+class TestSweepMatchesOracle:
+    """Every stream of a sweep equals the scalar oracle for its threshold."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        scene=st.sampled_from([
+            ("translation", (6.0, -3.0, 9.0, 4.0)),
+            ("translation", (-2.0, 5.0, -7.0, -6.0)),
+            ("affine", (0.035, -0.07, 4.5, 0.07, 0.025, -3.5)),
+            ("affine", (-0.1, 0.04, -2.0, 0.02, 0.08, 3.0)),
+            ("homography", (0.03, -0.05, 2.5, 0.04, 0.02, -1.5, 0.004, -0.003)),
+            ("homography", (-0.02, 0.06, -1.0, 0.01, -0.04, 2.0, -0.005, 0.002)),
+        ]),
+        width=st.integers(8, 14),
+        height=st.integers(8, 14),
+        thresholds=st.lists(st.floats(0.02, 0.6), min_size=1, max_size=3),
+    )
+    def test_property_moving_scenes(self, seed, scene, width, height, thresholds):
+        frames = _scene_frames(*scene, width, height, seed % 1000)
+        streams = multi_density_sweep(_pairs(frames), thresholds)
+        for c, stream in zip(thresholds, streams):
+            assert _stream_tuples(stream) == scalar_simulate(frames.values, frames.times, c)
+
+    @pytest.mark.parametrize("kind, coefficients", [
+        ("translation", (6.0, -3.0, 9.0, 4.0)),
+        ("affine", (0.035, -0.07, 4.5, 0.07, 0.025, -3.5)),
+        ("homography", (0.03, -0.05, 2.5, 0.04, 0.02, -1.5, 0.004, -0.003)),
+    ])
+    def test_pinned_moving_scenes(self, kind, coefficients):
+        frames = _scene_frames(kind, coefficients, 16, 12, 5)
+        thresholds = [0.03, 0.15, 0.5]
+        streams = multi_density_sweep(frames, thresholds)
+        assert len(streams[0]) > len(streams[-1]) > 0
+        for c, stream in zip(thresholds, streams):
+            assert _stream_tuples(stream) == scalar_simulate(frames.values, frames.times, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        frames=st.integers(2, 5),
+        ratios=st.lists(st.floats(1.0001, 6.0), min_size=1, max_size=3),
+    )
+    def test_property_thresholds_near_resolution(self, seed, frames, ratios):
+        """Thresholds a few float64 spacings wide, on steps of a few spacings.
+
+        Each rounding of ref + threshold then moves a crossing by a large
+        share of a step, which is where the candidate filter's slack and
+        the signed rounds must agree with the plain loop.
+        """
+        rng = seeded_rng(seed)
+        base = rng.choice([-1.0, -0.75, 0.5, 1.0], size=(3, 4))
+        steps = rng.integers(-12, 13, size=(frames, 3, 4)) * np.spacing(1.0)
+        values = np.exp(base + np.cumsum(steps, axis=0))
+        times = np.cumsum(rng.uniform(0.05, 0.3, size=frames))
+        logs = np.log(values)
+        resolution = np.spacing(max(logs.max(), -logs.min()))
+        thresholds = [r * resolution for r in ratios]
+        streams = multi_density_sweep(FrameSequence(values, times), thresholds)
+        for c, stream in zip(thresholds, streams):
+            assert _stream_tuples(stream) == scalar_simulate(values, times, c)
+
+    def test_constant_frames_give_empty_streams(self):
+        times = [0.5, 0.75, 1.0]
+        frames = ((t, np.full((4, 5), 0.3)) for t in times)
+        streams = multi_density_sweep(frames, [0.01, 0.2])
+        for stream in streams:
+            assert len(stream) == 0
+            assert (stream.t_start, stream.t_end) == (500_000, 1_000_000)
+            assert (stream.width, stream.height) == (5, 4)
+
+    def test_return_to_start_frames(self):
+        # Frames A, B, B, B, A: references come back to where they started,
+        # landing exactly on the last frame's log level.
+        scene = Scene(32, 32, 3, MotionSpec("translation", (0.9, -0.4)))
+        a, b = render_frame(scene, 0.0), render_frame(scene, 1.0)
+        values, times = np.stack([a, b, b, b, a]), np.arange(5.0)
+        (stream,) = multi_density_sweep(zip(times, values), [0.05])
+        assert len(stream) == 5222
+        assert _stream_tuples(stream) == scalar_simulate(values, times, 0.05)
 
 
 class TestShuffleTimestamps:
