@@ -36,7 +36,6 @@ from .errors import (
 )
 from .events import (
     EventStream,
-    FrameSequence,
     multi_density_sweep,
     render_sequence,
     shuffle_timestamps,

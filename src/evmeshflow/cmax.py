@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError, _check_flow
 from .events import EventStream
 
+
 @dataclass
 class WarpedEvents:
     """Continuous event positions after transport to a reference time.

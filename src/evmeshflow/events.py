@@ -7,10 +7,13 @@ crossing of reference +/- threshold, advancing the reference by one
 threshold step per event.  A change of k thresholds within one interval
 therefore emits floor(k) events with linearly interpolated timestamps, and
 sub-threshold residue carries over to later frames instead of being reset.
-`multi_density_sweep` is the one simulator: it reads, validates and logs
-each frame once, as it arrives, and advances one reference array per
-threshold in lockstep, so the frame stack is never built and memory does
-not grow with the frame count; `simulate` is its one-threshold case.
+Frames are (time, frame) pairs: a list, or a generator such as
+`render_sequence`, which renders each frame when it is read.
+`multi_density_sweep` is the one simulator and the one place frames are
+checked: it reads, validates and logs each frame once, as it arrives, and
+advances one reference array per threshold in lockstep, so the frame stack
+is never built and memory does not grow with the frame count; `simulate`
+is its one-threshold case.
 The guided subsamplers build a scipy KD-tree; scipy is imported on the first
 such call, never at import.
 """
@@ -79,42 +82,15 @@ class EventStream:
         )
 
 
-@dataclass
-class FrameSequence:
-    """Intensity frames (N, H, W) with strictly increasing times in seconds."""
+def render_sequence(scene: Scene, times):
+    """Yield (time, frame) pairs of a scene at the given times (seconds).
 
-    values: np.ndarray
-    times: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.times = np.asarray(self.times, dtype=np.float64)
-        if self.values.ndim != 3 or self.values.shape[0] < 1:
-            raise ShapeError(f"expected (N, H, W) frames, got {self.values.shape}")
-        if self.times.shape != (self.values.shape[0],):
-            raise ShapeError("one timestamp per frame required")
-        if np.any(np.diff(self.times) <= 0):
-            raise DataError("frame timestamps must be strictly increasing")
-        if not np.all(self.values > 0.0):
-            raise DataError("intensities must be positive for log conversion")
-
-    def __iter__(self):
-        """(time, frame) pairs in time order, as the simulator reads them."""
-        return zip(self.times.tolist(), self.values)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
-
-def render_sequence(scene: Scene, times) -> FrameSequence:
-    """Render a scene at the given times (seconds) into a FrameSequence."""
-    frames = np.stack([render_frame(scene, float(t)) for t in times])
-    return FrameSequence(frames, np.asarray(times, dtype=np.float64))
+    A one-shot generator: each frame is rendered when it is read, so a
+    simulation over it holds one frame at a time.
+    """
+    for t in times:
+        t = float(t)
+        yield t, render_frame(scene, t)
 
 
 def _us(seconds: np.ndarray) -> np.ndarray:
@@ -209,8 +185,9 @@ def multi_density_sweep(frames, thresholds) -> list[EventStream]:
     in the one before.
 
     Args:
-        frames: (time in seconds, (H, W) intensity frame) pairs, such as a
-            FrameSequence; times strictly increasing, intensities positive.
+        frames: an iterable of (time in seconds, (H, W) intensity frame)
+            pairs, such as `render_sequence`'s; times strictly increasing,
+            intensities positive.
         thresholds: log-intensity contrast steps, each > 0.
 
     Returns:
@@ -220,8 +197,9 @@ def multi_density_sweep(frames, thresholds) -> list[EventStream]:
     Raises:
         ShapeError: no frames, a frame that is not a non-empty 2-D array,
             or a frame whose shape differs from the first.
-        DataError: an intensity <= 0, infinite or NaN, or a time not above
-            the previous frame's.
+        DataError: an intensity <= 0, infinite or NaN; a time that is NaN,
+            infinite or whose microsecond count overflows int64; or a time
+            not above the previous frame's.
         ParameterError: no thresholds or one <= 0; a threshold at or below
             the float64 spacing of the largest |log intensity| read so far,
             where a reference level could stop moving (checked as each
@@ -243,6 +221,9 @@ def multi_density_sweep(frames, thresholds) -> list[EventStream]:
     keys = [[] for _ in thresholds]
     for tb, frame in frames:
         tb, frame = float(tb), np.asarray(frame, dtype=np.float64)
+        # False for NaN and inf; _us(tb) is an int64 whenever it holds.
+        if not -(2.0**63) <= tb * 1e6 < 2.0**63:
+            raise DataError(f"frame time {tb!r} s has no int64 microsecond count")
         if shape is None:
             if frame.ndim != 2 or not frame.size:
                 raise ShapeError(f"expected non-empty (H, W) frames, got {frame.shape}")

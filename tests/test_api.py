@@ -11,6 +11,7 @@ import evmeshflow
 
 DELETED = (
     "Event",
+    "FrameSequence",
     "VertexCandidates",
     "LossWeights",
     "average_pool",

@@ -552,8 +552,8 @@ class TestUnusedKeys:
         write_evt1(root / "events.evt1", simulate(frames, 0.2))
         write_flo1(root / "flow.flo1", flow)
         write_msh1(root / "mesh.msh1", extract_meshflow(flow))
-        write_pgm(root / "frame_i.pgm", frames.values[0])
-        write_pgm(root / "frame_j.pgm", frames.values[1])
+        write_pgm(root / "frame_i.pgm", render_frame(scene, 0.0))
+        write_pgm(root / "frame_j.pgm", render_frame(scene, 1.0))
         return root
 
     @staticmethod

@@ -7,7 +7,6 @@ from evmeshflow import events as events_module
 from evmeshflow import (
     DataError,
     EventStream,
-    FrameSequence,
     MotionSpec,
     ParameterError,
     Scene,
@@ -29,11 +28,11 @@ from _oracles import scalar_simulate, spatial_keep_mask, temporal_keep_mask
 
 
 def _single_pixel_frames(log_levels, times=None):
-    """FrameSequence for one pixel following the given log-intensity path."""
+    """(t, frame) pairs for one pixel following the given log-intensity path."""
     values = np.exp(np.asarray(log_levels, dtype=np.float64)).reshape(-1, 1, 1)
     if times is None:
         times = np.arange(len(log_levels), dtype=np.float64)
-    return FrameSequence(values, np.asarray(times, dtype=np.float64))
+    return list(zip(np.asarray(times, dtype=np.float64), values))
 
 
 def _stream_tuples(stream):
@@ -68,22 +67,6 @@ class TestEventStreamValidation:
         assert list(sub.t) == [1, 3]
 
 
-class TestFrameSequenceValidation:
-    def test_non_increasing_times_rejected(self):
-        with pytest.raises(DataError):
-            FrameSequence(np.ones((2, 2, 2)), [0.0, 0.0])
-
-    def test_non_positive_intensity_rejected(self):
-        values = np.ones((2, 2, 2))
-        values[1, 0, 0] = 0.0
-        with pytest.raises(DataError):
-            FrameSequence(values, [0.0, 1.0])
-
-    def test_frame_shape_enforced(self):
-        with pytest.raises(ShapeError):
-            FrameSequence(np.ones((2, 2)), [0.0, 1.0])
-
-
 class TestSimulatePinnedCases:
     def test_threshold_must_be_positive(self):
         frames = _single_pixel_frames([0.0, 1.0])
@@ -106,7 +89,7 @@ class TestSimulatePinnedCases:
             simulate(frames, 1e-9)
 
     def test_constant_frames_emit_nothing(self):
-        frames = FrameSequence(np.full((4, 3, 3), 0.7), [0.0, 0.1, 0.2, 0.3])
+        frames = zip([0.0, 0.1, 0.2, 0.3], np.full((4, 3, 3), 0.7))
         stream = simulate(frames, 0.2)
         assert len(stream) == 0
         assert stream.t_start == 0 and stream.t_end == 300_000
@@ -141,7 +124,7 @@ class TestSimulatePinnedCases:
     def test_monotonic_brightening_is_all_positive(self):
         rng = seeded_rng(8)
         ramp = np.cumsum(rng.uniform(0.05, 0.3, size=(6, 4, 4)), axis=0)
-        frames = FrameSequence(np.exp(ramp), np.arange(6.0))
+        frames = zip(np.arange(6.0), np.exp(ramp))
         stream = simulate(frames, 0.17)
         assert len(stream) > 0
         assert np.all(stream.p == 1)
@@ -150,7 +133,7 @@ class TestSimulatePinnedCases:
         # Two pixels with identical traces fire simultaneously.
         values = np.ones((2, 1, 2))
         values[1] = np.exp(0.4)
-        frames = FrameSequence(values, [0.0, 1.0])
+        frames = zip([0.0, 1.0], values)
         stream = simulate(frames, 0.4)
         assert len(stream) == 2
         assert list(stream.t) == [1_000_000, 1_000_000]
@@ -159,8 +142,7 @@ class TestSimulatePinnedCases:
 
 class TestSimulateOracleEquivalence:
     def _compare(self, values, times, threshold):
-        frames = FrameSequence(values, times)
-        stream = simulate(frames, threshold)
+        stream = simulate(zip(times, values), threshold)
         expected = scalar_simulate(values, times, threshold)
         assert _stream_tuples(stream) == expected
 
@@ -174,9 +156,9 @@ class TestSimulateOracleEquivalence:
     def test_rendered_scene_matches_oracle(self):
         scene = Scene(8, 8, 21, MotionSpec("translation", (5.0, -3.0)))
         times = adaptive_timestamps(scene, 0.0, 1.0)
-        frames = render_sequence(scene, times)
-        stream = simulate(frames, 0.25)
-        expected = scalar_simulate(frames.values, frames.times, 0.25)
+        stream = simulate(render_sequence(scene, times), 0.25)
+        values = np.stack([render_frame(scene, t) for t in times])
+        expected = scalar_simulate(values, times, 0.25)
         assert len(stream) > 0
         assert _stream_tuples(stream) == expected
 
@@ -223,7 +205,7 @@ class TestSimulateOracleEquivalence:
     def test_bit_identical_across_runs(self):
         rng = seeded_rng(5)
         values = np.exp(rng.uniform(-1, 1, size=(6, 5, 5)))
-        frames = FrameSequence(values, np.arange(6.0))
+        frames = list(zip(np.arange(6.0), values))
         a = simulate(frames, 0.2)
         b = simulate(frames, 0.2)
         assert np.array_equal(a.t, b.t)
@@ -287,7 +269,7 @@ class TestEventOrder:
         ) * threshold
         values = np.exp(levels[:, rng.integers(0, 2, size=(height, width))])
         times = 2.0 + np.arange(frames) * 1e-6
-        stream = simulate(FrameSequence(values, times), threshold)
+        stream = simulate(zip(times, values), threshold)
         perm = rng.permutation(len(stream))
         reference = _lexsorted(stream.x[perm], stream.y[perm], stream.t[perm], stream.p[perm])
         assert _stream_bytes(stream) == [a.tobytes() for a in reference]
@@ -296,7 +278,7 @@ class TestEventOrder:
     def test_repeated_tuples_survive_the_sort(self):
         # 3.5 thresholds within 1 us: crossings at 0.29, 0.57 and 0.86 us.
         values = np.exp(np.array([0.0, 3.5 * 0.2]).reshape(2, 1, 1) * np.ones((1, 2, 3)))
-        stream = simulate(FrameSequence(values, [0.0, 1e-6]), 0.2)
+        stream = simulate(zip([0.0, 1e-6], values), 0.2)
         assert _stream_tuples(stream) == [
             (t, y, x, 1) for t in (0, 1) for y in range(2) for x in range(3) for _ in range(1 + t)
         ]
@@ -308,7 +290,7 @@ class TestSortKeyGuard:
         values = np.ones((2, 8, 8))
         values[1] = np.exp(0.5)
         with pytest.raises(ParameterError):
-            simulate(FrameSequence(values, [0.0, 1e11]), 0.2)
+            simulate(zip([0.0, 1e11], values), 0.2)
 
     def test_shuffle_largest_span_that_fits(self):
         # On 8x8 the key holds spans up to 2**56 - 2 us; one more overflows.
@@ -326,7 +308,7 @@ class TestSortKeyGuard:
 class TestMultiDensitySweep:
     def _frames(self):
         scene = Scene(16, 16, 4, MotionSpec("translation", (6.0, 2.0)))
-        return render_sequence(scene, adaptive_timestamps(scene, 0.0, 1.0))
+        return list(render_sequence(scene, adaptive_timestamps(scene, 0.0, 1.0)))
 
     def test_empty_threshold_list_rejected(self):
         with pytest.raises(ParameterError):
@@ -342,7 +324,7 @@ class TestMultiDensitySweep:
 
     def test_huge_threshold_gives_empty_stream(self):
         frames = self._frames()
-        logs = np.log(frames.values)
+        logs = np.log([frame for _, frame in frames])
         span = float(logs.max() - logs.min())
         (stream,) = multi_density_sweep(frames, [span + 1.0])
         assert len(stream) == 0
@@ -354,35 +336,24 @@ class TestMultiDensitySweep:
         assert counts == sorted(counts, reverse=True)
 
 
-def _pairs(frames):
-    """The (t, frame) pairs of a FrameSequence, as a one-shot generator."""
-    return ((float(t), frame.copy()) for t, frame in zip(frames.times, frames.values))
-
-
 class TestStreamedFrames:
     """`multi_density_sweep` reads any iterable of (t, frame) pairs."""
 
     def _frames(self):
         scene = Scene(12, 10, 6, MotionSpec("translation", (5.0, -2.0)))
-        return render_sequence(scene, adaptive_timestamps(scene, 0.0, 1.0))
+        return list(render_sequence(scene, adaptive_timestamps(scene, 0.0, 1.0)))
 
-    def test_generator_matches_frame_sequence(self):
+    def test_generator_matches_list(self):
         frames = self._frames()
         thresholds = [0.05, 0.2, 0.6]
-        streamed = multi_density_sweep(_pairs(frames), thresholds)
-        stacked = multi_density_sweep(frames, thresholds)
-        assert len(stacked[0]) > 0
-        for a, b in zip(streamed, stacked):
+        streamed = multi_density_sweep(((t, f.copy()) for t, f in frames), thresholds)
+        listed = multi_density_sweep(frames, thresholds)
+        assert len(listed[0]) > 0
+        for a, b in zip(streamed, listed):
             assert _stream_bytes(a) == _stream_bytes(b)
             assert (a.width, a.height, a.t_start, a.t_end) == (
                 b.width, b.height, b.t_start, b.t_end
             )
-
-    def test_frame_sequence_iterates_as_pairs(self):
-        frames = self._frames()
-        pairs = list(frames)
-        assert [t for t, _ in pairs] == frames.times.tolist()
-        assert all(np.array_equal(f, v) for (_, f), v in zip(pairs, frames.values))
 
     def test_non_positive_frame_rejected(self):
         def frames():
@@ -405,6 +376,16 @@ class TestStreamedFrames:
     def test_nan_frame_rejected(self):
         frames = ((t, np.full((2, 2), np.nan if t else 1.0)) for t in (0.0, 1.0))
         with pytest.raises(DataError):
+            multi_density_sweep(frames, [0.1])
+
+    @pytest.mark.parametrize(
+        "times",
+        [(np.nan,), (0.0, np.inf), (-np.inf, 0.0), (0.0, 1e14), (-1e14, 0.0)],
+        ids=["nan", "inf-last", "inf-first", "1e14-last", "1e14-first"],
+    )
+    def test_time_without_int64_microseconds_rejected(self, times):
+        frames = ((t, np.full((3, 4), 1.0 + k)) for k, t in enumerate(times))
+        with pytest.raises(DataError, match="microsecond"):
             multi_density_sweep(frames, [0.1])
 
     @pytest.mark.parametrize("times", [(0.0, 1.0, 1.0), (0.0, 1.0, 0.5)])
@@ -448,8 +429,10 @@ class TestStreamedFrames:
 
 
 def _scene_frames(kind, coefficients, width, height, seed):
+    """A moving scene, its adaptive times on [0, 1] and its frames there, stacked."""
     scene = Scene(width, height, seed, MotionSpec(kind, coefficients))
-    return render_sequence(scene, adaptive_timestamps(scene, 0.0, 1.0))
+    times = adaptive_timestamps(scene, 0.0, 1.0)
+    return scene, times, np.stack([render_frame(scene, t) for t in times])
 
 
 class TestSweepMatchesOracle:
@@ -471,10 +454,10 @@ class TestSweepMatchesOracle:
         thresholds=st.lists(st.floats(0.02, 0.6), min_size=1, max_size=3),
     )
     def test_property_moving_scenes(self, seed, scene, width, height, thresholds):
-        frames = _scene_frames(*scene, width, height, seed % 1000)
-        streams = multi_density_sweep(_pairs(frames), thresholds)
+        scene, times, values = _scene_frames(*scene, width, height, seed % 1000)
+        streams = multi_density_sweep(render_sequence(scene, times), thresholds)
         for c, stream in zip(thresholds, streams):
-            assert _stream_tuples(stream) == scalar_simulate(frames.values, frames.times, c)
+            assert _stream_tuples(stream) == scalar_simulate(values, times, c)
 
     @pytest.mark.parametrize("kind, coefficients", [
         ("translation", (6.0, -3.0, 9.0, 4.0)),
@@ -482,12 +465,12 @@ class TestSweepMatchesOracle:
         ("homography", (0.03, -0.05, 2.5, 0.04, 0.02, -1.5, 0.004, -0.003)),
     ])
     def test_pinned_moving_scenes(self, kind, coefficients):
-        frames = _scene_frames(kind, coefficients, 16, 12, 5)
+        _, times, values = _scene_frames(kind, coefficients, 16, 12, 5)
         thresholds = [0.03, 0.15, 0.5]
-        streams = multi_density_sweep(frames, thresholds)
+        streams = multi_density_sweep(zip(times, values), thresholds)
         assert len(streams[0]) > len(streams[-1]) > 0
         for c, stream in zip(thresholds, streams):
-            assert _stream_tuples(stream) == scalar_simulate(frames.values, frames.times, c)
+            assert _stream_tuples(stream) == scalar_simulate(values, times, c)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -510,7 +493,7 @@ class TestSweepMatchesOracle:
         logs = np.log(values)
         resolution = np.spacing(max(logs.max(), -logs.min()))
         thresholds = [r * resolution for r in ratios]
-        streams = multi_density_sweep(FrameSequence(values, times), thresholds)
+        streams = multi_density_sweep(zip(times, values), thresholds)
         for c, stream in zip(thresholds, streams):
             assert _stream_tuples(stream) == scalar_simulate(values, times, c)
 
@@ -532,6 +515,27 @@ class TestSweepMatchesOracle:
         (stream,) = multi_density_sweep(zip(times, values), [0.05])
         assert len(stream) == 5222
         assert _stream_tuples(stream) == scalar_simulate(values, times, 0.05)
+
+
+class TestRenderSequence:
+    def test_renders_each_frame_when_it_is_read(self, monkeypatch):
+        rendered = []
+        real = events_module.render_frame
+
+        def counting(scene, t):
+            rendered.append(t)
+            return real(scene, t)
+
+        monkeypatch.setattr(events_module, "render_frame", counting)
+        scene = Scene(8, 8, 2, MotionSpec("translation", (3.0, 1.0)))
+        times = [0.0, 0.25, 1.0]
+        frames = render_sequence(scene, times)
+        assert rendered == []
+        for k, t in enumerate(times):
+            t_read, frame = next(frames)
+            assert rendered == times[: k + 1]
+            assert t_read == t and np.array_equal(frame, real(scene, t))
+        assert next(frames, None) is None
 
 
 class TestShuffleTimestamps:
