@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, _check_flow
+from .errors import ParameterError, _check_flow, _check_image
 from .events import EventStream
 
 
@@ -82,22 +82,19 @@ def accumulate_iwe(warped: WarpedEvents) -> np.ndarray:
     fy -= y0
     inside = (x0 >= -1) & (x0 < w) & (y0 >= -1) & (y0 < h)
     base = np.where(inside, (y0 + 1) * stride + (x0 + 1), w + 1)
-    for offset, wgt in (
-        (0, (1 - fx) * (1 - fy)),
-        (1, fx * (1 - fy)),
-        (stride, (1 - fx) * fy),
-        (stride + 1, fx * fy),
-    ):
-        np.add.at(padded, base + offset, wgt)
+    # One weight array at a time, with the corner indices freed: at 1M
+    # events these event-sized temporaries set the `select` peak memory.
+    del x0, y0, inside
+    gx, gy = 1 - fx, 1 - fy
+    corners = ((0, gx, gy), (1, fx, gy), (stride, gx, fy), (stride + 1, fx, fy))
+    for offset, wx, wy in corners:
+        np.add.at(padded, base + offset, wx * wy)
     return padded.reshape(h + 2, stride)[1:-1, 1:-1].copy()
 
 
 def contrast(image: np.ndarray) -> float:
     """Variance of an image over the full sensor domain."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ShapeError(f"expected (H, W) image, got {image.shape}")
-    return float(np.var(image))
+    return float(np.var(_check_image(image)))
 
 
 def two_sided_components(

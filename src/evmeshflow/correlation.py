@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError, _check_flow
+from .errors import DataError, ParameterError, ShapeError, _check_flow, _check_stack
 from .sampling import bilinear_sample
 
 
@@ -74,18 +74,6 @@ class CostVolume:
     radius: int
 
 
-def _check_features(*features: np.ndarray) -> list[np.ndarray]:
-    """One or two (C, H, W) feature stacks as float64; a pair must match."""
-    features = [np.asarray(f, dtype=np.float64) for f in features]
-    if any(f.ndim != 3 for f in features):
-        raise ShapeError("features must have shape (C, H, W)")
-    if len({f.shape for f in features}) > 1:
-        raise ShapeError(
-            f"feature shapes differ: {features[0].shape} vs {features[1].shape}"
-        )
-    return features
-
-
 def correlate(
     feat_a: np.ndarray,
     feat_b: np.ndarray,
@@ -96,7 +84,8 @@ def correlate(
     Out-of-bounds samples of feat_b act as zero features.  Scores divide
     by the number of active offsets.
     """
-    feat_a, feat_b = _check_features(feat_a, feat_b)
+    feat_a = _check_stack(feat_a, "features")
+    feat_b = _check_stack(feat_b, "second features", feat_a.shape)
     _, height, width = feat_a.shape
     offsets = grid.offsets
     denom = float(len(offsets))
@@ -116,7 +105,7 @@ def correlate(
 
 def warp_features(features: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Backward-warp every channel by the flow, clamping at the borders."""
-    (features,) = _check_features(features)
+    features = _check_stack(features, "features")
     flow = _check_flow(flow, size=features.shape[1:])
     height, width = features.shape[1:]
     gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)

@@ -2,8 +2,10 @@
 
 Everything derives from ValueError so callers that do not care about the
 distinction can catch one base class; the CLI maps each subtype to a
-stage-labelled message and a nonzero exit code.  `_check_flow` holds the
-one contract every flow and mesh input meets.
+stage-labelled message and a nonzero exit code.  The `_check_*` functions
+hold the one contract each kind of array input meets: an (H, W) image, an
+(N, H, W) stack of planes, a finite (H, W, 2) flow, and a flow-shaped mesh
+with at least 2 vertices per axis.
 """
 
 import numpy as np
@@ -33,6 +35,34 @@ class StepLimitError(RuntimeError):
     """An adaptive iteration exceeded its step budget."""
 
 
+def _check_layout(array, name: str, layout: tuple, size: tuple | None) -> np.ndarray:
+    """Return array as float64 if its shape fits layout and starts with size.
+
+    layout names each axis, and an int entry fixes that axis's length.
+    Raises ShapeError on another rank or fixed length, or, when size is
+    given, unless the leading len(size) axes equal size.
+    """
+    array = np.asarray(array, dtype=np.float64)
+    if array.ndim != len(layout) or any(
+        isinstance(want, int) and got != want for got, want in zip(array.shape, layout)
+    ):
+        axes = ", ".join(map(str, layout))
+        raise ShapeError(f"expected ({axes}) {name}, got {array.shape}")
+    if size is not None and array.shape[: len(size)] != size:
+        raise ShapeError(f"{name} is {array.shape[: len(size)]}, expected {size}")
+    return array
+
+
+def _check_image(image, name: str = "image", size: tuple | None = None) -> np.ndarray:
+    """Return image as float64 if it is (H, W), and of shape size if given."""
+    return _check_layout(image, name, ("H", "W"), size)
+
+
+def _check_stack(stack, name: str, size: tuple | None = None) -> np.ndarray:
+    """Return stack as float64 if it is (N, H, W), and of shape size if given."""
+    return _check_layout(stack, name, ("N", "H", "W"), size)
+
+
 def _check_flow(field, name: str = "flow", size: tuple | None = None) -> np.ndarray:
     """Return field as float64 if it is a finite (H, W, 2) flow or mesh.
 
@@ -40,11 +70,15 @@ def _check_flow(field, name: str = "flow", size: tuple | None = None) -> np.ndar
     when size is given, unless its (H, W) equals size; raises DataError on
     a NaN or an infinity.
     """
-    field = np.asarray(field, dtype=np.float64)
-    if field.ndim != 3 or field.shape[2] != 2:
-        raise ShapeError(f"expected (H, W, 2) {name}, got {field.shape}")
-    if size is not None and field.shape[:2] != size:
-        raise ShapeError(f"{name} is {field.shape[:2]}, expected {size}")
+    field = _check_layout(field, name, ("H", "W", 2), size)
     if not np.isfinite(field).all():
         raise DataError(f"{name} must be finite")
     return field
+
+
+def _check_mesh(mesh) -> np.ndarray:
+    """_check_flow, plus ShapeError unless the mesh has 2 vertices per axis."""
+    mesh = _check_flow(mesh, "mesh")
+    if min(mesh.shape[:2]) < 2:
+        raise ShapeError("mesh needs at least 2 vertices per axis")
+    return mesh

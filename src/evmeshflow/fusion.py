@@ -9,10 +9,12 @@ densities, and combine both with a flow term under fixed weights.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError, _check_flow
+from .errors import DataError, ParameterError, ShapeError
+from .errors import _check_flow, _check_image, _check_stack
 from .sampling import _sample_channels_last
 from .voxel import density
 
@@ -38,15 +40,16 @@ class AttentionOperator:
     def __post_init__(self):
         if self.window < 1 or self.window % 2 == 0:
             raise ParameterError("attention window must be odd and >= 1")
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 3 or self.weights.shape[0] != self.window**2:
+        self.weights = _check_stack(self.weights, "attention weights")
+        if self.weights.shape[0] != self.window**2:
             raise ShapeError(
-                f"expected (K*K, H, W) weights, got {self.weights.shape}"
+                f"expected {self.window**2} weight planes, got {self.weights.shape[0]}"
             )
-        if np.any(self.weights < 0.0):
+        # NaN fails both checks: every comparison with NaN is false.
+        if not np.all(self.weights >= 0.0):
             raise DataError("attention weights must be non-negative")
         sums = self.weights.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > 1e-6):
+        if not np.all(np.abs(sums - 1.0) <= 1e-6):
             raise DataError("attention weights must sum to 1 per pixel")
 
     @classmethod
@@ -104,10 +107,8 @@ def confidence_fuse(
     """Per-pixel convex blend: conf * flow_bar + (1 - conf) * flow_tilde."""
     flow_bar = _check_flow(flow_bar)
     flow_tilde = _check_flow(flow_tilde, "corrected flow", flow_bar.shape[:2])
-    confidence = np.asarray(confidence, dtype=np.float64)
-    if confidence.shape != flow_bar.shape[:2]:
-        raise ShapeError("confidence must be (H, W) matching the flow")
-    if np.any(confidence < 0.0) or np.any(confidence > 1.0):
+    confidence = _check_image(confidence, "confidence", flow_bar.shape[:2])
+    if not np.all((confidence >= 0.0) & (confidence <= 1.0)):
         raise DataError("confidence values must lie in [0, 1]")
     c = confidence[..., None]
     return c * flow_bar + (1.0 - c) * flow_tilde
@@ -121,24 +122,17 @@ def upsample_flow_bilinear(flow: np.ndarray, factor: int) -> np.ndarray:
     meaningful at the finer resolution.
     """
     flow = _check_flow(flow)
-    if factor < 1:
-        raise ParameterError("factor must be >= 1")
+    if not isinstance(factor, Integral) or factor < 1:
+        raise ParameterError("factor must be an integer >= 1")
     height, width = flow.shape[:2]
     xs = (np.arange(width * factor) + 0.5) / factor - 0.5
     ys = (np.arange(height * factor) + 0.5) / factor - 0.5
     return _sample_channels_last(flow, xs[None, :], ys[:, None]) * factor
 
 
-def _check_grid(grid: np.ndarray, name: str) -> np.ndarray:
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 3:
-        raise ShapeError(f"expected (B, H, W) {name}, got {grid.shape}")
-    return grid
-
-
 def mdc_loss(preds, gts, xi: float = DEFAULT_XI) -> float:
     """Sum over scales of the mean Charbonnier distance sqrt(d^2 + xi^2)."""
-    if xi < 0.0:
+    if not xi >= 0.0:
         raise ParameterError("xi must be >= 0")
     if len(preds) != len(gts) or not preds:
         raise ShapeError("predictions and targets must pair up non-empty")
@@ -154,8 +148,6 @@ def mdc_loss(preds, gts, xi: float = DEFAULT_XI) -> float:
 
 def mds_loss(grid_a: np.ndarray, grid_b: np.ndarray) -> float:
     """Absolute difference of the two grids' event densities."""
-    grid_a = _check_grid(grid_a, "grid")
-    grid_b = _check_grid(grid_b, "grid")
     return abs(density(grid_a) - density(grid_b))
 
 
@@ -167,7 +159,7 @@ def total_loss(
     lambda_mds: float = DEFAULT_LAMBDA_MDS,
 ) -> float:
     """Weighted sum lambda_mdc * mdc + lambda_mds * mds + flow_term."""
-    if lambda_mdc < 0.0 or lambda_mds < 0.0:
+    if not (lambda_mdc >= 0.0 and lambda_mds >= 0.0):
         raise ParameterError("loss weights must be >= 0")
     return lambda_mdc * mdc + lambda_mds * mds + flow_term
 
@@ -176,15 +168,9 @@ def mds_fuse(
     grid_mdc: np.ndarray, grid_plain: np.ndarray, logits: np.ndarray
 ) -> np.ndarray:
     """Per-pixel softmax blend of two voxel grids, broadcast over bins."""
-    grid_mdc = _check_grid(grid_mdc, "grid")
-    grid_plain = _check_grid(grid_plain, "grid")
-    if grid_mdc.shape != grid_plain.shape:
-        raise ShapeError("voxel grids must share a shape")
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != (2,) + grid_mdc.shape[1:]:
-        raise ShapeError(
-            f"expected (2, H, W) logits, got {logits.shape} for {grid_mdc.shape}"
-        )
+    grid_mdc = _check_stack(grid_mdc, "grid")
+    grid_plain = _check_stack(grid_plain, "plain grid", grid_mdc.shape)
+    logits = _check_stack(logits, "logits", (2,) + grid_mdc.shape[1:])
     shifted = logits - logits.max(axis=0, keepdims=True)
     expd = np.exp(shifted)
     weights = expd / expd.sum(axis=0, keepdims=True)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParameterError, ShapeError, _check_flow
+from .errors import DataError, FormatError, ParameterError, ShapeError
+from .errors import _check_flow, _check_image, _check_mesh
 from .events import EventStream
 
 _EVT1_HEADER = struct.Struct("<4sHHQ")
@@ -116,12 +117,8 @@ def read_flo1(path) -> np.ndarray:
 
 
 def write_msh1(path, mesh: np.ndarray) -> None:
-    mesh = _check_flow(mesh, "mesh")
-    cells_y = mesh.shape[0] - 1
-    cells_x = mesh.shape[1] - 1
-    if cells_x < 1 or cells_y < 1:
-        raise ShapeError("mesh needs at least 2 vertices per axis")
-    _write_f32(path, b"MSH1", (cells_x, cells_y), mesh)
+    mesh = _check_mesh(mesh)
+    _write_f32(path, b"MSH1", (mesh.shape[1] - 1, mesh.shape[0] - 1), mesh)
 
 
 def read_msh1(path) -> np.ndarray:
@@ -136,9 +133,7 @@ def write_pgm(path, image: np.ndarray) -> None:
 
     Values outside [0, 1] are clipped; NaN has no sample value and raises.
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ShapeError(f"expected (H, W) image, got {image.shape}")
+    image = _check_image(image)
     if np.isnan(image).any():
         raise DataError("PGM image values must not be NaN")
     scaled = np.rint(np.clip(image, 0.0, 1.0) * 65535.0).astype(">u2")

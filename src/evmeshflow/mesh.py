@@ -20,11 +20,13 @@ least 3 cells in from every border.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, ParameterError, ShapeError, _check_flow
+from .errors import DataError, ParameterError, ShapeError
+from .errors import _check_flow, _check_image, _check_mesh
 from .sampling import _sample_channels_last, bilinear_sample
 
 
@@ -36,8 +38,9 @@ class MeshGridSpec:
     cells_y: int = 16
 
     def __post_init__(self):
-        if self.cells_x < 1 or self.cells_y < 1:
-            raise ParameterError("mesh needs at least one cell per axis")
+        for cells in (self.cells_x, self.cells_y):
+            if not isinstance(cells, Integral) or cells < 1:
+                raise ParameterError("mesh needs a whole number of cells >= 1 per axis")
 
     @property
     def vertices_x(self) -> int:
@@ -132,14 +135,10 @@ def extract_meshflow(flow: np.ndarray, spec: MeshGridSpec = MeshGridSpec()) -> n
 
 def upsample_bilinear(mesh: np.ndarray, height: int, width: int) -> np.ndarray:
     """Interpolate a vertex mesh back to a dense (H, W, 2) flow field."""
-    mesh = _check_flow(mesh, "mesh")
+    mesh = _check_mesh(mesh)
     if height < 1 or width < 1:
         raise ParameterError("target dimensions must be positive")
-    vy_n, vx_n = mesh.shape[:2]
-    cells_x = vx_n - 1
-    cells_y = vy_n - 1
-    if cells_x < 1 or cells_y < 1:
-        raise ShapeError("mesh needs at least 2 vertices per axis")
+    cells_y, cells_x = mesh.shape[0] - 1, mesh.shape[1] - 1
     xs = np.arange(width) * (cells_x / width)
     ys = np.arange(height) * (cells_y / height)
     return _sample_channels_last(mesh, xs[None, :], ys[:, None])
@@ -159,9 +158,7 @@ def downsample_to_mesh(flow: np.ndarray, spec: MeshGridSpec = MeshGridSpec()) ->
 
 def backward_warp(image: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Sample image at u + flow(u) for every pixel u, clamping at edges."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ShapeError(f"expected (H, W) image, got {image.shape}")
+    image = _check_image(image)
     flow = _check_flow(flow, size=image.shape)
     height, width = image.shape
     gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
@@ -170,8 +167,6 @@ def backward_warp(image: np.ndarray, flow: np.ndarray) -> np.ndarray:
 
 def alignment_error(reference: np.ndarray, candidate: np.ndarray) -> float:
     """Mean absolute intensity difference between two images."""
-    reference = np.asarray(reference, dtype=np.float64)
-    candidate = np.asarray(candidate, dtype=np.float64)
-    if reference.shape != candidate.shape or reference.ndim != 2:
-        raise ShapeError("images must share an (H, W) shape")
+    reference = _check_image(reference, "reference")
+    candidate = _check_image(candidate, "candidate", reference.shape)
     return float(np.mean(np.abs(reference - candidate)))

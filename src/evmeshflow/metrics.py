@@ -24,7 +24,7 @@ def epe(pred: np.ndarray, gt: np.ndarray) -> float:
 
 def npe(pred: np.ndarray, gt: np.ndarray, n: float) -> float:
     """Percentage of pixels with endpoint error strictly above n px."""
-    if n < 0:
+    if not n >= 0:
         raise DataError("npe threshold must be >= 0")
     pred, gt = _check_pair(pred, gt)
     return float(100.0 * (_errors(pred, gt) > n).mean())

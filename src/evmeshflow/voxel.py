@@ -8,7 +8,7 @@ grid conserves total signed polarity.
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, _check_stack
 from .events import EventStream
 
 
@@ -53,8 +53,6 @@ def density(grid: np.ndarray) -> float:
     Pixels whose positive and negative contributions cancel exactly within
     a bin count as inactive.
     """
-    grid = np.asarray(grid)
-    if grid.ndim != 3:
-        raise ShapeError(f"expected (B, H, W) grid, got {grid.shape}")
+    grid = _check_stack(grid, "grid")
     active = np.abs(grid).sum(axis=0) > 0.0
     return float(active.mean())

@@ -72,6 +72,8 @@ def test_deleted_keywords_are_gone():
     assert not hasattr(evmeshflow.cmax, "SPLAT_MODES")
     assert not hasattr(evmeshflow.sampling, "bilinear_sample_wrapped")
     assert not hasattr(evmeshflow.sampling, "_blend")
+    assert not hasattr(evmeshflow.fusion, "_check_grid")
+    assert not hasattr(evmeshflow.correlation, "_check_features")
     assert "t_ref" not in {field.name for field in dataclasses.fields(evmeshflow.WarpedEvents)}
     fields = {field.name for field in dataclasses.fields(evmeshflow.Scene)}
     assert "intensity_floor" not in fields

@@ -1,0 +1,201 @@
+"""Every public image, plane-stack and mesh consumer checks its shape.
+
+Each consumer below gets one array in one argument slot, all other
+arguments valid.  An array of another rank raises ShapeError.  Where the
+array's size is fixed by another input (a second image or stack, a flow,
+a window), an array one row short raises ShapeError, and where its plane
+count is fixed, one plane short does too.  A mesh one vertex wide raises
+ShapeError.  The valid array passes, so each raise comes from the array
+under test.  The cases at the end pin that a NaN bound fails and that a
+count must be an integer: a float, even a whole one, or NaN fails.
+"""
+
+import numpy as np
+import pytest
+
+from evmeshflow import (
+    AttentionOperator,
+    DataError,
+    MeshGridSpec,
+    ParameterError,
+    SearchGrid,
+    ShapeError,
+    alignment_error,
+    backward_warp,
+    confidence_fuse,
+    contrast,
+    correlate,
+    density,
+    downsample_to_mesh,
+    extract_meshflow,
+    mdc_loss,
+    mds_fuse,
+    mds_loss,
+    npe,
+    total_loss,
+    upsample_bilinear,
+    upsample_flow_bilinear,
+    warp_features,
+    write_msh1,
+    write_pgm,
+)
+
+N = 8
+C = 3
+GRID = SearchGrid.dilated(2)
+ONE_WIDE = ("one-row", "one-column")
+
+
+def _image():
+    return np.ones((N, N))
+
+
+def _stack(planes=C):
+    return np.ones((planes, N, N))
+
+
+def _flow():
+    return np.ones((N, N, 2))
+
+
+def _weights():
+    return AttentionOperator.identity(3, N, N).weights
+
+
+def _mesh():
+    return np.ones((3, 4, 2))
+
+
+# name -> (valid array, call(array, tmp_path), faults beyond "rank")
+_IMAGES = {
+    "contrast": (_image, lambda a, _: contrast(a), ()),
+    "write_pgm": (_image, lambda a, tmp: write_pgm(tmp / "image.pgm", a), ()),
+    "backward_warp": (_image, lambda a, _: backward_warp(a, _flow()), ("size",)),
+    "alignment_error-reference": (
+        _image, lambda a, _: alignment_error(a, _image()), ("size",)
+    ),
+    "alignment_error-candidate": (
+        _image, lambda a, _: alignment_error(_image(), a), ("size",)
+    ),
+    "confidence_fuse-confidence": (
+        _image, lambda a, _: confidence_fuse(_flow(), _flow(), a), ("size",)
+    ),
+}
+_STACKS = {
+    "correlate-feat_a": (
+        _stack, lambda a, _: correlate(a, _stack(), GRID), ("size", "planes")
+    ),
+    "correlate-feat_b": (
+        _stack, lambda a, _: correlate(_stack(), a, GRID), ("size", "planes")
+    ),
+    "warp_features": (_stack, lambda a, _: warp_features(a, _flow()), ("size",)),
+    "density": (_stack, lambda a, _: density(a), ()),
+    "mds_loss-grid_a": (_stack, lambda a, _: mds_loss(a, _stack()), ()),
+    "mds_loss-grid_b": (_stack, lambda a, _: mds_loss(_stack(), a), ()),
+    "mds_fuse-grid_mdc": (
+        _stack, lambda a, _: mds_fuse(a, _stack(), _stack(2)), ("size", "planes")
+    ),
+    "mds_fuse-grid_plain": (
+        _stack, lambda a, _: mds_fuse(_stack(), a, _stack(2)), ("size", "planes")
+    ),
+    "mds_fuse-logits": (
+        lambda: _stack(2),
+        lambda a, _: mds_fuse(_stack(), _stack(), a),
+        ("size", "planes"),
+    ),
+    "AttentionOperator-weights": (
+        _weights, lambda a, _: AttentionOperator(3, a), ("planes",)
+    ),
+}
+_MESHES = {
+    "write_msh1": (_mesh, lambda a, tmp: write_msh1(tmp / "mesh.msh1", a), ONE_WIDE),
+    "upsample_bilinear": (_mesh, lambda a, _: upsample_bilinear(a, N, N), ONE_WIDE),
+}
+
+# fault -> the faulty array made from the valid one
+_FAULTS = {
+    "rank-up": lambda a: a[..., None],
+    "rank-down": lambda a: a[0],
+    "size": lambda a: a[..., 1:, :],
+    "planes": lambda a: a[1:],
+    "one-row": lambda a: a[:1],
+    "one-column": lambda a: a[:, :1],
+}
+
+
+def _cases():
+    for table in (_IMAGES, _STACKS, _MESHES):
+        for name, (make, call, faults) in table.items():
+            for fault in ("valid", "rank-up", "rank-down") + faults:
+                yield pytest.param(make, call, fault, id=f"{name}-{fault}")
+
+
+@pytest.mark.parametrize("make, call, fault", list(_cases()))
+def test_array_contract(tmp_path, make, call, fault):
+    array = make()
+    if fault == "valid":
+        call(array, tmp_path)
+        return
+    with pytest.raises(ShapeError):
+        call(_FAULTS[fault](array), tmp_path)
+
+
+def test_nan_attention_weight_rejected():
+    weights = _weights()
+    weights[0, 2, 3] = np.nan
+    with pytest.raises(DataError, match="non-negative"):
+        AttentionOperator(3, weights)
+
+
+def test_nan_confidence_rejected():
+    confidence = np.full((N, N), 0.5)
+    confidence[4, 1] = np.nan
+    with pytest.raises(DataError, match=r"\[0, 1\]"):
+        confidence_fuse(_flow(), _flow(), confidence)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: mdc_loss([_image()], [_image()], np.nan), id="xi"),
+        pytest.param(lambda: total_loss(1, 1, 0, lambda_mdc=np.nan), id="lambda_mdc"),
+        pytest.param(lambda: total_loss(1, 1, 0, lambda_mds=np.nan), id="lambda_mds"),
+    ],
+)
+def test_nan_loss_scalar_rejected(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_nan_npe_threshold_rejected():
+    with pytest.raises(DataError, match="threshold"):
+        npe(_flow() + 10.0, _flow(), np.nan)
+
+
+@pytest.mark.parametrize(
+    "cells", [(2.5, 2), (2, 2.5), (np.nan, 2), (2, np.nan), (2.0, 2)], ids=str
+)
+def test_non_integer_mesh_cells_rejected(cells):
+    with pytest.raises(ParameterError, match="whole number"):
+        MeshGridSpec(*cells)
+
+
+def test_numpy_integer_mesh_cells_accepted():
+    spec = MeshGridSpec(np.int64(2), np.int32(3))
+    assert (spec.vertices_x, spec.vertices_y) == (3, 4)
+    for fn in (extract_meshflow, downsample_to_mesh):
+        assert fn(np.ones((12, 12, 2)), spec).shape == (4, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "factor", [1.5, np.nan, 2.0, np.float64(2.0)], ids=["1.5", "nan", "2.0", "f8-2.0"]
+)
+def test_non_integer_upsample_factor_rejected(factor):
+    with pytest.raises(ParameterError, match="integer"):
+        upsample_flow_bilinear(np.zeros((4, 4, 2)), factor)
+
+
+def test_numpy_integer_upsample_factor_accepted():
+    flow = np.arange(32, dtype=np.float64).reshape(4, 4, 2)
+    got = upsample_flow_bilinear(flow, np.int64(2))
+    assert got.tobytes() == upsample_flow_bilinear(flow, 2).tobytes()
