@@ -10,14 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError, _check_flow, _check_stack
+from .errors import DataError, ShapeError, _check_flow, _check_int, _check_stack
 from .sampling import bilinear_sample
 
 
 def dilated_mask(radius: int) -> np.ndarray:
     """Boolean (2r+1, 2r+1) mask of active search offsets."""
-    if radius < 0:
-        raise ParameterError("radius must be >= 0")
+    radius = _check_int(radius, "radius", 0)
     span = np.arange(-radius, radius + 1)
     manhattan = np.abs(span)[:, None] + np.abs(span)[None, :]
     mask = np.ones(manhattan.shape, dtype=bool)
@@ -34,8 +33,7 @@ class SearchGrid:
     mask: np.ndarray
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ParameterError("radius must be >= 0")
+        self.radius = _check_int(self.radius, "radius", 0)
         self.mask = np.asarray(self.mask, dtype=bool)
         side = 2 * self.radius + 1
         if self.mask.shape != (side, side):
@@ -49,9 +47,7 @@ class SearchGrid:
 
     @classmethod
     def full(cls, radius: int) -> "SearchGrid":
-        if radius < 0:
-            raise ParameterError("radius must be >= 0")
-        side = 2 * radius + 1
+        side = 2 * _check_int(radius, "radius", 0) + 1
         return cls(radius, np.ones((side, side), dtype=bool))
 
     @property

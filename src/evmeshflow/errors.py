@@ -3,10 +3,12 @@
 Everything derives from ValueError so callers that do not care about the
 distinction can catch one base class; the CLI maps each subtype to a
 stage-labelled message and a nonzero exit code.  The `_check_*` functions
-hold the one contract each kind of array input meets: an (H, W) image, an
-(N, H, W) stack of planes, a finite (H, W, 2) flow, and a flow-shaped mesh
-with at least 2 vertices per axis.
+hold the one contract each kind of input meets: an integer count at or
+above its minimum, and a non-empty (H, W) image, (N, H, W) plane stack,
+finite (H, W, 2) flow or flow-shaped mesh of 2+ vertices per axis.
 """
+
+from numbers import Integral
 
 import numpy as np
 
@@ -35,19 +37,27 @@ class StepLimitError(RuntimeError):
     """An adaptive iteration exceeded its step budget."""
 
 
+def _check_int(value, name: str, minimum: int | None = None) -> int:
+    """int(value) for a Python or numpy integer >= minimum; ParameterError otherwise."""
+    if isinstance(value, Integral) and (minimum is None or value >= minimum):
+        return int(value)
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise ParameterError(f"{name} must be a whole number{bound} given as an integer, got {value!r}")
+
+
 def _check_layout(array, name: str, layout: tuple, size: tuple | None) -> np.ndarray:
     """Return array as float64 if its shape fits layout and starts with size.
 
     layout names each axis, and an int entry fixes that axis's length.
-    Raises ShapeError on another rank or fixed length, or, when size is
-    given, unless the leading len(size) axes equal size.
+    Raises ShapeError on another rank or fixed length, on an empty axis,
+    or, when size is given, unless the leading len(size) axes equal size.
     """
     array = np.asarray(array, dtype=np.float64)
-    if array.ndim != len(layout) or any(
+    if array.ndim != len(layout) or 0 in array.shape or any(
         isinstance(want, int) and got != want for got, want in zip(array.shape, layout)
     ):
         axes = ", ".join(map(str, layout))
-        raise ShapeError(f"expected ({axes}) {name}, got {array.shape}")
+        raise ShapeError(f"expected non-empty ({axes}) {name}, got {array.shape}")
     if size is not None and array.shape[: len(size)] != size:
         raise ShapeError(f"{name} is {array.shape[: len(size)]}, expected {size}")
     return array
@@ -66,9 +76,9 @@ def _check_stack(stack, name: str, size: tuple | None = None) -> np.ndarray:
 def _check_flow(field, name: str = "flow", size: tuple | None = None) -> np.ndarray:
     """Return field as float64 if it is a finite (H, W, 2) flow or mesh.
 
-    Raises ShapeError unless the array is 3-D with a last axis of 2, or,
-    when size is given, unless its (H, W) equals size; raises DataError on
-    a NaN or an infinity.
+    Raises ShapeError unless the array is non-empty and 3-D with a last axis
+    of 2, or, when size is given, unless its (H, W) equals size; raises
+    DataError on a NaN or an infinity.
     """
     field = _check_layout(field, name, ("H", "W", 2), size)
     if not np.isfinite(field).all():

@@ -23,7 +23,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError, StepLimitError, _check_flow
+from .errors import DataError, ParameterError, ShapeError, StepLimitError
+from .errors import _check_flow, _check_image, _check_int
 from .scene import Scene, render_frame
 
 
@@ -52,8 +53,10 @@ class EventStream:
         n = len(self.t)
         if not (len(self.x) == len(self.y) == len(self.p) == n):
             raise ShapeError("event component arrays must have equal length")
-        if self.width < 1 or self.height < 1:
-            raise ParameterError("sensor dimensions must be positive")
+        self.width = _check_int(self.width, "sensor dimensions (width)", 1)
+        self.height = _check_int(self.height, "sensor dimensions (height)", 1)
+        self.t_start = _check_int(self.t_start, "t_start")
+        self.t_end = _check_int(self.t_end, "t_end")
         if self.t_end < self.t_start:
             raise DataError("stream requires t_start <= t_end")
         if n:
@@ -220,16 +223,13 @@ def multi_density_sweep(frames, thresholds) -> list[EventStream]:
     refs, expected = None, [0.0] * len(thresholds)
     keys = [[] for _ in thresholds]
     for tb, frame in frames:
-        tb, frame = float(tb), np.asarray(frame, dtype=np.float64)
+        tb = float(tb)
         # False for NaN and inf; _us(tb) is an int64 whenever it holds.
         if not -(2.0**63) <= tb * 1e6 < 2.0**63:
             raise DataError(f"frame time {tb!r} s has no int64 microsecond count")
+        frame = _check_image(frame, "frame", shape)
         if shape is None:
-            if frame.ndim != 2 or not frame.size:
-                raise ShapeError(f"expected non-empty (H, W) frames, got {frame.shape}")
             shape, t_start = frame.shape, int(_us(tb))
-        elif frame.shape != shape:
-            raise ShapeError(f"frame of shape {frame.shape} after frames of {shape}")
         elif not tb > ta:
             raise DataError("frame timestamps must be strictly increasing")
         if not np.all(frame > 0.0):

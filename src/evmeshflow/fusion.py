@@ -9,12 +9,11 @@ densities, and combine both with a flow term under fixed weights.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .errors import _check_flow, _check_image, _check_stack
+from .errors import _check_flow, _check_image, _check_int, _check_stack
 from .sampling import _sample_channels_last
 from .voxel import density
 
@@ -38,7 +37,8 @@ class AttentionOperator:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.window < 1 or self.window % 2 == 0:
+        self.window = _check_int(self.window, "attention window", 1)
+        if self.window % 2 == 0:
             raise ParameterError("attention window must be odd and >= 1")
         self.weights = _check_stack(self.weights, "attention weights")
         if self.weights.shape[0] != self.window**2:
@@ -54,6 +54,8 @@ class AttentionOperator:
 
     @classmethod
     def identity(cls, window: int, height: int, width: int) -> "AttentionOperator":
+        window = _check_int(window, "attention window", 1)
+        height, width = _check_int(height, "height", 1), _check_int(width, "width", 1)
         weights = np.zeros((window**2, height, width))
         center = (window // 2) * window + window // 2
         weights[center] = 1.0
@@ -122,8 +124,7 @@ def upsample_flow_bilinear(flow: np.ndarray, factor: int) -> np.ndarray:
     meaningful at the finer resolution.
     """
     flow = _check_flow(flow)
-    if not isinstance(factor, Integral) or factor < 1:
-        raise ParameterError("factor must be an integer >= 1")
+    factor = _check_int(factor, "factor", 1)
     height, width = flow.shape[:2]
     xs = (np.arange(width * factor) + 0.5) / factor - 0.5
     ys = (np.arange(height * factor) + 0.5) / factor - 0.5

@@ -96,6 +96,8 @@ def _read_f32(path, magic: bytes, shape_of) -> np.ndarray:
     found, *dims = _F32_HEADER.unpack_from(blob)
     if found != magic:
         raise FormatError(f"bad {name} magic {found!r}")
+    if not all(dims):
+        raise FormatError(f"{name} needs at least one cell per axis, got {dims[0]}x{dims[1]}")
     shape = shape_of(*dims)
     body = blob[_F32_HEADER.size :]
     if len(body) != 4 * math.prod(shape):
@@ -122,10 +124,7 @@ def write_msh1(path, mesh: np.ndarray) -> None:
 
 
 def read_msh1(path) -> np.ndarray:
-    mesh = _read_f32(path, b"MSH1", lambda cx, cy: (cy + 1, cx + 1, 2))
-    if min(mesh.shape[:2]) < 2:
-        raise FormatError("MSH1 mesh needs at least one cell per axis")
-    return mesh
+    return _read_f32(path, b"MSH1", lambda cx, cy: (cy + 1, cx + 1, 2))
 
 
 def write_pgm(path, image: np.ndarray) -> None:

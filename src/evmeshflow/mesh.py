@@ -20,13 +20,11 @@ least 3 cells in from every border.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, ParameterError, ShapeError
-from .errors import _check_flow, _check_image, _check_mesh
+from .errors import DataError, _check_flow, _check_image, _check_int, _check_mesh
 from .sampling import _sample_channels_last, bilinear_sample
 
 
@@ -38,9 +36,8 @@ class MeshGridSpec:
     cells_y: int = 16
 
     def __post_init__(self):
-        for cells in (self.cells_x, self.cells_y):
-            if not isinstance(cells, Integral) or cells < 1:
-                raise ParameterError("mesh needs a whole number of cells >= 1 per axis")
+        _check_int(self.cells_x, "cells_x", 1)
+        _check_int(self.cells_y, "cells_y", 1)
 
     @property
     def vertices_x(self) -> int:
@@ -77,8 +74,6 @@ def propagate(flow: np.ndarray, spec: MeshGridSpec) -> np.ndarray:
     """
     flow = _check_flow(flow)
     height, width = flow.shape[:2]
-    if height < 1 or width < 1:
-        raise ShapeError("flow must be non-empty")
     cx = (np.arange(spec.cells_x) + 0.5) * (width / spec.cells_x)
     cy = (np.arange(spec.cells_y) + 0.5) * (height / spec.cells_y)
     cell_motion = _sample_channels_last(flow, cx[None, :], cy[:, None])
@@ -136,8 +131,7 @@ def extract_meshflow(flow: np.ndarray, spec: MeshGridSpec = MeshGridSpec()) -> n
 def upsample_bilinear(mesh: np.ndarray, height: int, width: int) -> np.ndarray:
     """Interpolate a vertex mesh back to a dense (H, W, 2) flow field."""
     mesh = _check_mesh(mesh)
-    if height < 1 or width < 1:
-        raise ParameterError("target dimensions must be positive")
+    height, width = _check_int(height, "height", 1), _check_int(width, "width", 1)
     cells_y, cells_x = mesh.shape[0] - 1, mesh.shape[1] - 1
     xs = np.arange(width) * (cells_x / width)
     ys = np.arange(height) * (cells_y / height)

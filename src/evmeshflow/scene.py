@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError, ParameterError, RangeError, StepLimitError
+from .errors import DataError, ParameterError, RangeError, StepLimitError, _check_int
 from .sampling import bilinear_sample
 
 _OCTAVE_SIZES = (4, 8, 16, 32)
@@ -33,6 +33,7 @@ MOTION_KINDS = ("translation", "affine", "homography")
 
 def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Return a counted-stream generator: one master seed, many streams."""
+    seed, stream = _check_int(seed, "seed"), _check_int(stream, "stream")
     key = np.array([seed % (2**64), stream % (2**64)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -122,10 +123,11 @@ class Scene:
     t_end: float = 1.0
 
     def __post_init__(self):
-        if self.width < 8 or self.height < 8:
-            raise ParameterError("scene dimensions must be at least 8 px")
-        if not self.t_start < self.t_end:
-            raise ParameterError("scene requires t_start < t_end")
+        _check_int(self.width, "scene width", 8)
+        _check_int(self.height, "scene height", 8)
+        _check_int(self.texture_seed, "texture_seed")
+        if not -math.inf < self.t_start < self.t_end < math.inf:
+            raise ParameterError("scene requires finite t_start < t_end")
 
     def check_time(self, t: float) -> None:
         if not (self.t_start <= t <= self.t_end):

@@ -8,7 +8,7 @@ grid conserves total signed polarity.
 
 import numpy as np
 
-from .errors import ParameterError, _check_stack
+from .errors import _check_int, _check_stack
 from .events import EventStream
 
 
@@ -19,8 +19,7 @@ def voxelize(stream: EventStream, bins: int = 5) -> np.ndarray:
     to 0 and 1.  An empty stream yields zeros; a stream whose events share
     one timestamp puts all mass in bin 0.
     """
-    if bins < 1:
-        raise ParameterError("bins must be >= 1")
+    bins = _check_int(bins, "bins", 1)
     # Both terms of every event go in unmasked: a zero upper weight adds
     # +-0.0, which leaves a cell unchanged, and the upper terms of the last
     # bin land in the spare plane `bins`.

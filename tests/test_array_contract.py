@@ -4,11 +4,17 @@ Each consumer below gets one array in one argument slot, all other
 arguments valid.  An array of another rank raises ShapeError.  Where the
 array's size is fixed by another input (a second image or stack, a flow,
 a window), an array one row short raises ShapeError, and where its plane
-count is fixed, one plane short does too.  A mesh one vertex wide raises
-ShapeError.  The valid array passes, so each raise comes from the array
-under test.  The cases at the end pin that a NaN bound fails and that a
-count must be an integer: a float, even a whole one, or NaN fails.
+count is fixed, one plane short does too.  Where no other input fixes
+its rows, an array with none raises ShapeError, and where none fixes its
+plane count, a stack with no planes does too.  A mesh one vertex wide
+raises ShapeError.  The valid array passes, so each raise comes from the
+array under test.  The cases at the end pin that a NaN bound fails and
+that a count must be an integer: a float, even a whole one, or NaN
+fails, while a numpy integer passes.
 """
+
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,8 +22,12 @@ import pytest
 from evmeshflow import (
     AttentionOperator,
     DataError,
+    EventStream,
+    FormatError,
     MeshGridSpec,
+    MotionSpec,
     ParameterError,
+    Scene,
     SearchGrid,
     ShapeError,
     alignment_error,
@@ -26,15 +36,20 @@ from evmeshflow import (
     contrast,
     correlate,
     density,
+    dilated_mask,
     downsample_to_mesh,
     extract_meshflow,
     mdc_loss,
     mds_fuse,
     mds_loss,
     npe,
+    read_flo1,
+    render_frame,
+    seeded_rng,
     total_loss,
     upsample_bilinear,
     upsample_flow_bilinear,
+    voxelize,
     warp_features,
     write_msh1,
     write_pgm,
@@ -68,8 +83,8 @@ def _mesh():
 
 # name -> (valid array, call(array, tmp_path), faults beyond "rank")
 _IMAGES = {
-    "contrast": (_image, lambda a, _: contrast(a), ()),
-    "write_pgm": (_image, lambda a, tmp: write_pgm(tmp / "image.pgm", a), ()),
+    "contrast": (_image, lambda a, _: contrast(a), ("empty",)),
+    "write_pgm": (_image, lambda a, tmp: write_pgm(tmp / "image.pgm", a), ("empty",)),
     "backward_warp": (_image, lambda a, _: backward_warp(a, _flow()), ("size",)),
     "alignment_error-reference": (
         _image, lambda a, _: alignment_error(a, _image()), ("size",)
@@ -88,10 +103,16 @@ _STACKS = {
     "correlate-feat_b": (
         _stack, lambda a, _: correlate(_stack(), a, GRID), ("size", "planes")
     ),
-    "warp_features": (_stack, lambda a, _: warp_features(a, _flow()), ("size",)),
-    "density": (_stack, lambda a, _: density(a), ()),
-    "mds_loss-grid_a": (_stack, lambda a, _: mds_loss(a, _stack()), ()),
-    "mds_loss-grid_b": (_stack, lambda a, _: mds_loss(_stack(), a), ()),
+    "warp_features": (
+        _stack, lambda a, _: warp_features(a, _flow()), ("size", "no-planes")
+    ),
+    "density": (_stack, lambda a, _: density(a), ("empty", "no-planes")),
+    "mds_loss-grid_a": (
+        _stack, lambda a, _: mds_loss(a, _stack()), ("empty", "no-planes")
+    ),
+    "mds_loss-grid_b": (
+        _stack, lambda a, _: mds_loss(_stack(), a), ("empty", "no-planes")
+    ),
     "mds_fuse-grid_mdc": (
         _stack, lambda a, _: mds_fuse(a, _stack(), _stack(2)), ("size", "planes")
     ),
@@ -104,7 +125,7 @@ _STACKS = {
         ("size", "planes"),
     ),
     "AttentionOperator-weights": (
-        _weights, lambda a, _: AttentionOperator(3, a), ("planes",)
+        _weights, lambda a, _: AttentionOperator(3, a), ("planes", "empty")
     ),
 }
 _MESHES = {
@@ -120,6 +141,8 @@ _FAULTS = {
     "planes": lambda a: a[1:],
     "one-row": lambda a: a[:1],
     "one-column": lambda a: a[:, :1],
+    "empty": lambda a: a[..., :0, :],
+    "no-planes": lambda a: a[:0],
 }
 
 
@@ -199,3 +222,100 @@ def test_numpy_integer_upsample_factor_accepted():
     flow = np.arange(32, dtype=np.float64).reshape(4, 4, 2)
     got = upsample_flow_bilinear(flow, np.int64(2))
     assert got.tobytes() == upsample_flow_bilinear(flow, 2).tobytes()
+
+
+def _events(**fields):
+    kwargs = {"width": N, "height": N, "t_start": 0, "t_end": 10, **fields}
+    return EventStream([0], [0], [5], [1], **kwargs)
+
+
+def _render(**fields):
+    kwargs = {"width": N, "height": N, "texture_seed": 3, **fields}
+    return render_frame(Scene(motion=MotionSpec("translation", (1.0, 0.0)), **kwargs), 0.5)
+
+
+# name -> (call(count), a valid count); mesh cells and the upsample factor
+# are pinned above.
+_COUNTS = {
+    "voxelize-bins": (lambda v: voxelize(_events(), v), 2),
+    "dilated_mask-radius": (dilated_mask, 2),
+    "SearchGrid-radius": (lambda v: SearchGrid(v, np.ones((5, 5), dtype=bool)), 2),
+    "SearchGrid.full-radius": (SearchGrid.full, 2),
+    "upsample_bilinear-height": (lambda v: upsample_bilinear(_mesh(), v, N), N),
+    "upsample_bilinear-width": (lambda v: upsample_bilinear(_mesh(), N, v), N),
+    "AttentionOperator-window": (lambda v: AttentionOperator(v, _weights()), 3),
+    "AttentionOperator.identity-window": (
+        lambda v: AttentionOperator.identity(v, N, N), 3
+    ),
+    "AttentionOperator.identity-height": (
+        lambda v: AttentionOperator.identity(3, v, N), N
+    ),
+    "AttentionOperator.identity-width": (
+        lambda v: AttentionOperator.identity(3, N, v), N
+    ),
+    "EventStream-width": (lambda v: _events(width=v), N),
+    "EventStream-height": (lambda v: _events(height=v), N),
+    "EventStream-t_start": (lambda v: _events(t_start=v), 0),
+    "EventStream-t_end": (lambda v: _events(t_end=v), 10),
+    "Scene-width": (lambda v: _render(width=v), N),
+    "Scene-height": (lambda v: _render(height=v), N),
+    "Scene-texture_seed": (lambda v: _render(texture_seed=v), 3),
+    "seeded_rng-seed": (seeded_rng, 3),
+    "seeded_rng-stream": (lambda v: seeded_rng(3, v), 1),
+}
+_NOT_COUNTS = {
+    "fraction": lambda v: v + 0.5,
+    "nan": lambda v: math.nan,
+    "whole-float": float,
+}
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, bad(valid), id=f"{name}-{kind}")
+        for name, (call, valid) in _COUNTS.items()
+        for kind, bad in _NOT_COUNTS.items()
+    ],
+)
+def test_non_integer_count_rejected(call, value):
+    with pytest.raises(ParameterError, match="integer"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "call, valid", [pytest.param(*row, id=name) for name, row in _COUNTS.items()]
+)
+def test_numpy_integer_count_accepted(call, valid):
+    call(np.int64(valid))
+
+
+@pytest.mark.parametrize(
+    "sizes", [(0, N, N), (3, 0, N), (3, N, 0)], ids=["window", "height", "width"]
+)
+def test_identity_attention_below_minimum_rejected(sizes):
+    with pytest.raises(ParameterError):
+        AttentionOperator.identity(*sizes)
+
+
+def test_empty_image_not_written(tmp_path):
+    path = tmp_path / "image.pgm"
+    with pytest.raises(ShapeError):
+        write_pgm(path, np.zeros((0, 4)))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("width, height", [(0, 3), (3, 0)])
+def test_flo1_without_pixels_rejected(tmp_path, width, height):
+    path = tmp_path / "flat.flo1"
+    path.write_bytes(struct.pack("<4s2I", b"FLO1", width, height))
+    with pytest.raises(FormatError, match="at least one cell"):
+        read_flo1(path)
+
+
+@pytest.mark.parametrize(
+    "t_start, t_end", [(-math.inf, 1.0), (0.0, math.inf)], ids=["-inf", "+inf"]
+)
+def test_infinite_scene_span_rejected(t_start, t_end):
+    with pytest.raises(ParameterError, match="finite"):
+        Scene(N, N, 3, MotionSpec("translation", (1.0, 0.0)), t_start, t_end)

@@ -4,8 +4,9 @@ Each consumer below gets one field in one argument slot, all other
 arguments valid.  A NaN, +inf or -inf entry raises DataError, a last axis
 other than 2 raises ShapeError, and where the field's (H, W) must match
 another input (a sensor, an image, features, a second field), a field of
-the wrong size raises ShapeError.  The valid field passes, so each raise
-comes from the field under test.
+the wrong size raises ShapeError; where it need not, a field with no rows
+does.  The valid field passes, so each raise comes from the field under
+test.
 """
 
 import numpy as np
@@ -97,11 +98,17 @@ _CONSUMERS = {
 }
 
 
+# Meshes need 2 vertices per axis; test_array_contract pins one-vertex meshes.
+_MESH_CONSUMERS = ("upsample_bilinear", "write_msh1")
+
+
 def _cases():
     for name, (call, sized) in _CONSUMERS.items():
         faults = ["valid", "nan", "+inf", "-inf", "last-axis-3"]
         if sized:
             faults.append("size")
+        elif name not in _MESH_CONSUMERS:
+            faults.append("empty")
         for fault in faults:
             yield pytest.param(call, fault, id=f"{name}-{fault}")
 
@@ -118,6 +125,9 @@ def test_flow_contract(tmp_path, call, fault):
     elif fault == "size":
         expected, match = ShapeError, None
         field = np.ones((N - 1, N, 2))
+    elif fault == "empty":
+        expected, match = ShapeError, "non-empty"
+        field = np.ones((0, N, 2))
     else:
         expected, match = DataError, "finite"
         field[3, 5, 1] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[fault]
