@@ -7,6 +7,7 @@ stream at both endpoints of its interval and summing the variances gives
 the two-sided objective used to rank candidate streams.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,12 @@ def warp_events(
 
     The flow field maps the interval start to its end; an event at time t
     moves by (t_ref - t) / (t_j - t_i) times the flow at its (integer)
-    pixel.  Times are microseconds, matching stream timestamps.
+    pixel.  Times are microseconds, matching stream timestamps, and must
+    be finite.
     """
     flow = _check_flow(flow, size=(stream.height, stream.width))
+    if not all(math.isfinite(t) for t in (t_ref, t_i, t_j)):
+        raise ParameterError("warp times t_ref, t_i and t_j must be finite")
     if t_j == t_i:
         raise ParameterError("warp interval must have nonzero length")
     factor = (t_ref - stream.t.astype(np.float64)) / float(t_j - t_i)

@@ -13,6 +13,11 @@ import numpy as np
 from .errors import DataError, ShapeError, _check_flow, _check_int, _check_stack
 from .sampling import bilinear_sample
 
+# Bytes of both feature stacks that one row tile of correlate spans.  On a
+# 2-vCPU Xeon with 4 MiB L2 per core, C = 32 at 256x256, r = 4 took 153, 135,
+# 121, 115, 125 and 185 ms at 1, 2, 4, 8, 16 MiB and untiled.
+_TILE_BYTES = 8 << 20
+
 
 def dilated_mask(radius: int) -> np.ndarray:
     """Boolean (2r+1, 2r+1) mask of active search offsets."""
@@ -78,24 +83,30 @@ def correlate(
     """Inner products of feat_a(u) with feat_b(u + d) over active offsets.
 
     Out-of-bounds samples of feat_b act as zero features.  Scores divide
-    by the number of active offsets.
+    by the number of active offsets.  Rows are visited in tiles of about
+    _TILE_BYTES of both stacks, every offset per tile, so a large stack
+    streams through memory once rather than once per offset; a stack that
+    fits the budget is a single tile.
     """
     feat_a = _check_stack(feat_a, "features")
     feat_b = _check_stack(feat_b, "second features", feat_a.shape)
-    _, height, width = feat_a.shape
+    channels, height, width = feat_a.shape
     offsets = grid.offsets
     denom = float(len(offsets))
     scores = np.zeros((len(offsets), height, width))
-    for m, (dx, dy) in enumerate(offsets):
-        ay_lo, ay_hi = max(0, -dy), min(height, height - dy)
-        ax_lo, ax_hi = max(0, -dx), min(width, width - dx)
-        if ay_lo >= ay_hi or ax_lo >= ax_hi:
-            continue
-        a = feat_a[:, ay_lo:ay_hi, ax_lo:ax_hi]
-        b = feat_b[:, ay_lo + dy : ay_hi + dy, ax_lo + dx : ax_hi + dx]
-        # einsum sums a[c] * b[c] per pixel in channel order from 0.0, like
-        # naive_correlate, without a (C, H', W') product temporary.
-        scores[m, ay_lo:ay_hi, ax_lo:ax_hi] = np.einsum("chw,chw->hw", a, b) / denom
+    rows = max(1, _TILE_BYTES // (2 * feat_a.itemsize * channels * width))
+    for y0 in range(0, height, rows):
+        y1 = min(height, y0 + rows)
+        for m, (dx, dy) in enumerate(offsets):
+            ay_lo, ay_hi = max(y0, -dy), min(y1, height - dy)
+            ax_lo, ax_hi = max(0, -dx), min(width, width - dx)
+            if ay_lo >= ay_hi or ax_lo >= ax_hi:
+                continue
+            a = feat_a[:, ay_lo:ay_hi, ax_lo:ax_hi]
+            b = feat_b[:, ay_lo + dy : ay_hi + dy, ax_lo + dx : ax_hi + dx]
+            # einsum sums a[c] * b[c] per pixel in channel order from 0.0,
+            # like naive_correlate, without a (C, H', W') product temporary.
+            scores[m, ay_lo:ay_hi, ax_lo:ax_hi] = np.einsum("chw,chw->hw", a, b) / denom
     return CostVolume(scores, offsets, grid.radius)
 
 

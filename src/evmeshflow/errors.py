@@ -38,8 +38,15 @@ class StepLimitError(RuntimeError):
 
 
 def _check_int(value, name: str, minimum: int | None = None) -> int:
-    """int(value) for a Python or numpy integer >= minimum; ParameterError otherwise."""
-    if isinstance(value, Integral) and (minimum is None or value >= minimum):
+    """int(value) for a Python or numpy integer >= minimum; ParameterError otherwise.
+
+    A bool is a truth value, not a count, and is rejected like any non-integer.
+    """
+    if (
+        isinstance(value, Integral)
+        and not isinstance(value, bool)
+        and (minimum is None or value >= minimum)
+    ):
         return int(value)
     bound = "" if minimum is None else f" >= {minimum}"
     raise ParameterError(f"{name} must be a whole number{bound} given as an integer, got {value!r}")

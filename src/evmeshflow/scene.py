@@ -256,12 +256,13 @@ def _velocity_at_points(
 def _audit_points(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     """Pixels whose velocity and flow norms reach the peak over the image.
 
-    Translation fields are constant, so the 4 corner pixels stand for every
-    pixel.  Affine and homography scenes audit every pixel: under a shear,
-    rounding noise along a tied edge can put the computed peak of an affine
-    flow on a pixel between two corners.
+    Translation and affine scenes audit the 4 corner pixels.  Their velocity
+    and both flows are affine maps of the position, and the norm of an affine
+    map is convex, so its maximum over the pixel rectangle lies at a corner;
+    a dense audit can only add rounding noise along a tied edge.  Homography
+    flows are not affine in the position, so those scenes audit every pixel.
     """
-    if scene.motion.kind != "translation":
+    if scene.motion.kind == "homography":
         ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
         return xs, ys
     right, bottom = scene.width - 1.0, scene.height - 1.0
@@ -289,9 +290,9 @@ def adaptive_timestamps(scene: Scene, t_i: float, t_j: float) -> list[float]:
     absorbs float roundoff).  The last interval may be shorter so the final
     timestamp is exactly t_j.  Zero motion yields [t_i, t_j].
 
-    Both audits evaluate the 4 corner pixels of a translation scene, whose
-    velocity and flow are the same at every pixel, and every pixel of an
-    affine or homography scene.
+    Both audits evaluate the 4 corner pixels of a translation or affine
+    scene, where the peak of an affine field lies, and every pixel of a
+    homography scene.
     """
     scene.check_time(t_i)
     scene.check_time(t_j)

@@ -9,8 +9,8 @@ its rows, an array with none raises ShapeError, and where none fixes its
 plane count, a stack with no planes does too.  A mesh one vertex wide
 raises ShapeError.  The valid array passes, so each raise comes from the
 array under test.  The cases at the end pin that a NaN bound fails and
-that a count must be an integer: a float, even a whole one, or NaN
-fails, while a numpy integer passes.
+that a count must be an integer: a float, even a whole one, NaN or a
+bool fails, while a numpy integer passes.
 """
 
 import math
@@ -196,7 +196,9 @@ def test_nan_npe_threshold_rejected():
 
 
 @pytest.mark.parametrize(
-    "cells", [(2.5, 2), (2, 2.5), (np.nan, 2), (2, np.nan), (2.0, 2)], ids=str
+    "cells",
+    [(2.5, 2), (2, 2.5), (np.nan, 2), (2, np.nan), (2.0, 2), (True, True), (2, True)],
+    ids=str,
 )
 def test_non_integer_mesh_cells_rejected(cells):
     with pytest.raises(ParameterError, match="whole number"):
@@ -211,7 +213,9 @@ def test_numpy_integer_mesh_cells_accepted():
 
 
 @pytest.mark.parametrize(
-    "factor", [1.5, np.nan, 2.0, np.float64(2.0)], ids=["1.5", "nan", "2.0", "f8-2.0"]
+    "factor",
+    [1.5, np.nan, 2.0, np.float64(2.0), True],
+    ids=["1.5", "nan", "2.0", "f8-2.0", "bool"],
 )
 def test_non_integer_upsample_factor_rejected(factor):
     with pytest.raises(ParameterError, match="integer"):
@@ -267,6 +271,7 @@ _NOT_COUNTS = {
     "fraction": lambda v: v + 0.5,
     "nan": lambda v: math.nan,
     "whole-float": float,
+    "bool": lambda v: True,
 }
 
 

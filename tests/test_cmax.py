@@ -51,6 +51,22 @@ class TestWarpEvents:
         with pytest.raises(ParameterError):
             warp_events(stream, np.zeros((8, 8, 2)), 0, 5, 5)
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            (0.0, 0.0, np.nan),
+            (0.0, -np.inf, 1e6),
+            (np.inf, 0.0, 1e6),
+            (np.nan, 0.0, 1e6),
+            (0.0, 0.0, np.inf),
+        ],
+        ids=["nan-t_j", "-inf-t_i", "inf-t_ref", "nan-t_ref", "inf-t_j"],
+    )
+    def test_non_finite_times_rejected(self, times):
+        stream = _stream([3], [4], [250_000], [1])
+        with pytest.raises(ParameterError, match="finite"):
+            warp_events(stream, np.ones((8, 8, 2)), *times)
+
     def test_reference_at_event_time_is_identity(self):
         stream = _stream([3], [4], [250_000], [1])
         flow = np.full((8, 8, 2), 17.0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from evmeshflow import correlation
 from evmeshflow import (
     CostVolume,
     DataError,
@@ -157,6 +158,21 @@ class TestCorrelate:
         feat_a = data.draw(arrays(np.float64, shape, elements=value))
         feat_b = data.draw(arrays(np.float64, shape, elements=value))
         grid = SearchGrid.full(radius) if full else SearchGrid.dilated(radius)
+        vol = correlate(feat_a, feat_b, grid)
+        expected = naive_correlate(feat_a, feat_b, grid.offsets, grid.active_count)
+        assert vol.scores.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 4, 7])
+    @pytest.mark.parametrize("full", [False, True], ids=["dilated", "full"])
+    def test_row_tiles_match_naive_oracle_bytes(self, monkeypatch, rows, full):
+        # 23 rows in tiles of 1, 4 or 7 rows leave a short last tile (3 or 2
+        # rows), and offsets of up to +-4 rows read across tile edges.
+        channels, height, width = 3, 23, 10
+        monkeypatch.setattr(correlation, "_TILE_BYTES", rows * 16 * channels * width)
+        rng = seeded_rng(8)
+        feat_a = rng.integers(-3, 4, (channels, height, width)).astype(np.float64)
+        feat_b = rng.normal(size=(channels, height, width))
+        grid = SearchGrid.full(4) if full else SearchGrid.dilated(4)
         vol = correlate(feat_a, feat_b, grid)
         expected = naive_correlate(feat_a, feat_b, grid.offsets, grid.active_count)
         assert vol.scores.tobytes() == expected.tobytes()
