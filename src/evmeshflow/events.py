@@ -14,12 +14,11 @@ checked: it reads, validates and logs each frame once, as it arrives, and
 advances one reference array per threshold in lockstep, so the frame stack
 is never built and memory does not grow with the frame count; `simulate`
 is its one-threshold case.
-The guided subsamplers build a scipy KD-tree; scipy is imported on the first
-such call, never at import.
+The guided subsamplers find the seeds near each event by index arithmetic
+on the seed lattice and need no scipy.
 """
 
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -339,14 +338,23 @@ _PAIR_BUDGET = 2**14
 def cKDTree(points):
     """`scipy.spatial.cKDTree(points)`, with scipy imported on the first call.
 
-    Importing `scipy.spatial` takes about four times as long as importing
-    numpy, so only guided subsampling pays for it.  `_near_seed_paths`
-    looks this name up as a module global, so wrapping `events.cKDTree`
-    sees every tree built.
+    Kept only for the benchmark's tracer, which wraps `events.cKDTree` to
+    count trees built; nothing in the package calls it, so that count is 0.
     """
     from scipy.spatial import cKDTree as tree_cls
 
     return tree_cls(points)
+
+
+def _lattice_box(q, r, spacing, n):
+    """First index and size of the index box floor((q - r) / spacing) ..
+    ceil((q + r) / spacing) of each q, clipped to the lattice's indices 0 .. n - 1.
+
+    A box that misses the lattice has size 0.
+    """
+    first = np.clip(np.floor((q - r) / spacing), 0, n).astype(np.intp)
+    last = np.clip(np.ceil((q + r) / spacing), -1, n - 1).astype(np.intp)
+    return first, np.maximum(last - first + 1, 0)
 
 
 def _near_seed_paths(stream, flow, spacing, tolerance, candidates):
@@ -355,40 +363,47 @@ def _near_seed_paths(stream, flow, spacing, tolerance, candidates):
     With `centre` the per-component midrange of the seed flows and `reach`
     the largest |flow(u) - centre|, a path u + s * flow(u) stays within
     s * reach of u + s * centre, so every seed within `tolerance` of an event
-    e at time s lies within tolerance + s * reach of e - s * centre.  One tree
-    over the seed lattice finds those seeds; the exact distance test then
-    decides on them alone.
+    e at time s lies within r = tolerance + s * reach of q = e - s * centre.
+    The seeds are the lattice (i, j) * spacing, so those seeds lie in the
+    index box floor((q - r) / spacing) .. ceil((q + r) / spacing) per axis,
+    clipped to the lattice: index arithmetic, with no spatial tree and no
+    scipy.  The exact distance test then decides on the seeds of each box
+    alone.
     """
     if np.isinf(tolerance):
         # Finite flow puts every candidate within reach of some seed.
         return candidates
-    sy, sx = np.mgrid[: stream.height : spacing, : stream.width : spacing].reshape(2, -1)
-    seed_pos = np.stack([sx, sy], axis=1).astype(np.float64)
-    seed_flow = flow[sy, sx]
-    centre = 0.5 * seed_flow.max(axis=0) + 0.5 * seed_flow.min(axis=0)
-    reach = np.hypot(*(seed_flow - centre).T).max()
+    lattice = flow[::spacing, ::spacing]
+    rows, cols = lattice.shape[:2]
+    flow_x, flow_y = lattice.transpose(2, 0, 1).reshape(2, -1)
+    centre_x = 0.5 * flow_x.max() + 0.5 * flow_x.min()
+    centre_y = 0.5 * flow_y.max() + 0.5 * flow_y.min()
+    reach = np.hypot(flow_x - centre_x, flow_y - centre_y).max()
 
     keep = np.zeros(len(stream), dtype=bool)
     idx = np.nonzero(candidates)[0]
     s = _normalized_times(stream)[idx]
-    ev_pos = np.stack([stream.x[idx], stream.y[idx]], axis=1).astype(np.float64)
-    query = ev_pos - s[:, None] * centre
-    # The slack only widens the candidate set; exactness rests on the test below.
+    ex = stream.x[idx].astype(np.float64)
+    ey = stream.y[idx].astype(np.float64)
+    # The slack only widens the boxes; exactness rests on the test below.
     radius = (tolerance + s * reach) * (1 + 1e-9) + 1e-9
-    tree = cKDTree(seed_pos)
-    counts = tree.query_ball_point(query, radius, return_length=True)
+    first_x, size_x = _lattice_box(ex - s * centre_x, radius, spacing, cols)
+    first_y, size_y = _lattice_box(ey - s * centre_y, radius, spacing, rows)
+    counts = size_x * size_y
     # Chunks hold about _PAIR_BUDGET pairs each, whatever the flow's spread.
-    chunk = (np.cumsum(counts) - counts) // _PAIR_BUDGET
-    bounds = np.append(np.flatnonzero(np.diff(chunk)) + 1, len(idx))
-    lo = 0
-    for hi in bounds:
-        near = tree.query_ball_point(query[lo:hi], radius[lo:hi])
+    start = np.cumsum(counts) - counts
+    firsts = np.flatnonzero(np.diff(start // _PAIR_BUDGET, prepend=-1))
+    for lo, hi in zip(firsts, np.append(firsts[1:], len(idx))):
         ev = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        seed = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=len(ev))
-        dx = ev_pos[ev, 0] - (seed_pos[seed, 0] + s[ev] * seed_flow[seed, 0])
-        dy = ev_pos[ev, 1] - (seed_pos[seed, 1] + s[ev] * seed_flow[seed, 1])
+        # Each pair's row-major place in its event's box gives its seed (i, j).
+        j, i = np.divmod(np.arange(len(ev)) + (start[lo] - start[ev]), size_x[ev])
+        i += first_x[ev]
+        j += first_y[ev]
+        seed = j * cols + i
+        se = s[ev]
+        dx = ex[ev] - (i * spacing + se * flow_x[seed])
+        dy = ey[ev] - (j * spacing + se * flow_y[seed])
         keep[idx[ev[np.sqrt(dx * dx + dy * dy) <= tolerance]]] = True
-        lo = hi
     return keep
 
 

@@ -156,7 +156,20 @@ def _sample_torus(padded: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarra
     and column then hold the wrapped neighbour, as on the torus.
     """
     height, width = padded.shape[0] - _WRAP_PAD, padded.shape[1] - _WRAP_PAD
-    return bilinear_sample(padded, np.mod(x, width), np.mod(y, height))
+    return bilinear_sample(padded, _mod_outside(x, width), _mod_outside(y, height))
+
+
+def _mod_outside(v: np.ndarray, size: int) -> np.ndarray:
+    """np.mod(v, size), computed only where v lies outside (0, size).
+
+    np.mod returns every v in that open range unchanged, so the rest keep
+    their bytes; zeros go through np.mod, which maps -0.0 to +0.0.
+    """
+    outside = ~((v > 0.0) & (v < size))
+    if outside.any():
+        v = v.copy()
+        v[outside] = np.mod(v[outside], size)
+    return v
 
 
 @lru_cache(maxsize=64)

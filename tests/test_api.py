@@ -127,16 +127,21 @@ run("simulate", *scene, "thresholds=0.1,0.4")
 run("select", f"candidates={events},{root / 'simulate' / 'events_01_c0.4.evt1'}", f"flow={flo}")
 run("meshflow", f"flow={flo}", "cells=4")
 run("eval", f"pred={flo}", f"gt={flo}")
-""" + _PRINT_SCIPY + """
 run("subsample", f"events={events}", f"flow={flo}", "keep_ratio=0.25")
+run("subsample", f"events={events}", f"flow={flo}", "keep_ratio=0.5", "mode=temporal",
+    out="subsample_temporal")
+""" + _PRINT_SCIPY + """
 run("gen", "width=32", "height=32", "motion=affine",
     "generator=0.035,-0.07,4.5,0.07,0.025,-3.5", out="gen_affine")
 """ + _PRINT_SCIPY
 
 
 def test_scipy_loads_on_first_use(tmp_path):
+    # Subsampling needs no scipy; the affine scene's expm loads scipy.linalg
+    # and no other public scipy subpackage.
     before, after = [
         json.loads(line) for line in _fresh_python(_CLI_CHAIN, tmp_path) if line[0] == "["
     ]
     assert before == []
-    assert {"scipy.spatial", "scipy.linalg"} <= set(after)
+    public = {m.split(".")[1] for m in after if "." in m and m.split(".")[1][0] != "_"}
+    assert public == {"linalg", "version"}

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -733,7 +738,7 @@ class TestGuidedSubsample:
     ):
         # Sensors of 8-24 px with a constant flow offset of up to 30 px and
         # spatial variation on top: the seed flows' midrange is far from 0 and
-        # their reach around it is positive, so the ball query around each
+        # their reach around it is positive, so the index box around each
         # event leaves most seeds out and a wrong radius or centre drops
         # events the oracle keeps.  Half the events sit on a pixel's path
         # (rounded to the sensor grid), so many are kept; keep_ratio <= 0.4
@@ -766,27 +771,82 @@ class TestGuidedSubsample:
             assert np.array_equal(getattr(got, field), getattr(want, field))
 
     @_SUBSAMPLERS
-    def test_one_tree_per_call(self, subsample, oracle, monkeypatch):
-        # The subsamplers look cKDTree up through the events module, so that
-        # wrapping events.cKDTree counts every tree they build.
-        built = []
-        real = events_module.cKDTree
+    def test_call_loads_no_scipy(self, subsample, oracle):
+        # The seeds near each event come from arithmetic on the seed lattice,
+        # so a call in a fresh interpreter leaves scipy unloaded.
+        code = f"""
+import sys
+import numpy as np
+from evmeshflow.events import EventStream, {subsample.__name__} as subsample
 
-        def counting(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(events_module, "cKDTree", counting)
-        rng = seeded_rng(31)
-        n = 2000
-        stream = EventStream(
-            rng.integers(0, 32, n), rng.integers(0, 32, n), np.arange(n), np.ones(n),
-            32, 32, 0, n - 1,
+rng = np.random.default_rng(31)
+n = 2000
+stream = EventStream(
+    rng.integers(0, 32, n), rng.integers(0, 32, n), np.arange(n), np.ones(n),
+    32, 32, 0, n - 1,
+)
+flow = rng.normal(3.0, 2.0, size=(32, 32, 2))
+assert 0 < len(subsample(stream, flow, 0.25, tolerance=0.5)) < n
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(events_module.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=300,
         )
-        flow = rng.normal(3.0, 2.0, size=(32, 32, 2))
-        subsample(stream, flow, 0.25, tolerance=0.5)
-        assert len(np.unique(stream.t)) == n
-        assert len(built) == 1
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    @_SUBSAMPLERS
+    @pytest.mark.parametrize(
+        "case", ["affine-reach", "random-reach", "off-sensor", "on-path-tolerance-0", "chunks"]
+    )
+    def test_keep_mask_matches_brute_force_at_box_edges(
+        self, subsample, oracle, case, monkeypatch
+    ):
+        # Each case strains one edge of the index box around an event's query
+        # point q = e - s * centre with radius r = tolerance + s * reach.
+        rng = seeded_rng(53, len(case))
+        width, height, span, tolerance = 24, 18, 16, 0.5
+        gy, gx = np.mgrid[:height, :width]
+        if case == "affine-reach":
+            # Flows that vary by 20+ px across the sensor: reach far above the spacing.
+            flow = np.stack([0.9 * gx - 0.5 * gy + 3.0, 0.4 * gx + 0.8 * gy - 9.0], -1)
+        elif case == "random-reach":
+            flow = rng.normal(0.0, 12.0, size=(height, width, 2))
+        elif case == "off-sensor":
+            # Late queries lie 40 px off the sensor, so their boxes are partly
+            # or wholly clipped away.
+            flow = rng.normal(0.0, 1.0, size=(height, width, 2)) + (40.0, -35.0)
+        elif case == "on-path-tolerance-0":
+            # Times are multiples of span / 4 and flows multiples of 4 px, so
+            # every path passes exactly through pixels; only those events stay.
+            flow = 4.0 * rng.integers(-3, 4, size=(height, width, 2))
+            tolerance = 0.0
+        else:
+            # Budgets of 5 pairs split the call into many chunks, and most
+            # events' boxes alone exceed a chunk.
+            monkeypatch.setattr(events_module, "_PAIR_BUDGET", 5)
+            flow = rng.normal(2.0, 3.0, size=(height, width, 2))
+        count = 80
+        t = np.sort(rng.integers(0, 5, size=count) * 4)
+        ux = rng.integers(0, width, size=count)
+        uy = rng.integers(0, height, size=count)
+        s = t / span
+        on_path = rng.random(count) < 0.6
+        x = np.where(on_path, np.rint(ux + s * flow[uy, ux, 0]), rng.integers(0, width, count))
+        y = np.where(on_path, np.rint(uy + s * flow[uy, ux, 1]), rng.integers(0, height, count))
+        stream = EventStream(
+            np.clip(x, 0, width - 1), np.clip(y, 0, height - 1), t,
+            rng.choice([-1, 1], size=count), width, height, 0, span,
+        )
+        # Spatial seeds a lattice of spacing 3; temporal keeps every stamp.
+        keep_ratio = 0.1 if subsample is spatial_guided_subsample else 1.0
+        want = oracle(stream, flow, keep_ratio, tolerance)
+        assert 0 < want.sum() < count
+        got = subsample(stream, flow, keep_ratio, tolerance)
+        for field in ("x", "y", "t", "p"):
+            assert np.array_equal(getattr(got, field), getattr(stream.select(want), field))
 
     def test_infinite_tolerance_at_size(self):
         # 256x256 sensor with 65536 seeds for temporal and 20000 events at

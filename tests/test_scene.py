@@ -150,6 +150,20 @@ class TestRenderFrame:
         f1 = render_frame(scene, 1.0)
         assert np.allclose(f1[:, 1:], f0[:, :-1], atol=1e-12)
 
+    def test_mod_outside_is_np_mod_byte_for_byte(self):
+        # Positions inside (0, size) skip np.mod; the rest, zeros of either
+        # sign included (np.mod maps -0.0 to +0.0), go through it.
+        size = 7
+        v = np.array(
+            [-0.0, 0.0, -1e-300, -1e-17, 1e-300, 3.5, size - 1e-15, size, size + 0.25,
+             -7.0, -8.5, 1e9, np.nan]
+        )
+        before = v.tobytes()
+        assert scene_module._mod_outside(v, size).tobytes() == np.mod(v, size).tobytes()
+        assert v.tobytes() == before
+        inside = np.array([[0.5, 6.75]])
+        assert scene_module._mod_outside(inside, size).tobytes() == inside.tobytes()
+
     def test_values_respect_floor(self):
         scene = _translation_scene()
         frame = render_frame(scene, 0.4)
