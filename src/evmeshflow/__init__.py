@@ -23,7 +23,6 @@ from .correlation import (
     CostVolume,
     SearchGrid,
     correlate,
-    dilated_mask,
     warp_features,
 )
 from .errors import (

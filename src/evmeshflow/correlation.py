@@ -1,16 +1,16 @@
 """Dilated feature correlation volumes.
 
-The search window of radius r keeps the center and drops every offset
-whose Manhattan length is an even number 2k with k in [2, r].  For r = 4
-this leaves 49 of 81 offsets: the reach of a radius-4 window at the match
-cost of radius 3.
+The search window of radius r keeps the offset (dx, dy), |dx|, |dy| <= r,
+when its Manhattan length |dx| + |dy| is odd or at most 2, so every even
+length from 4 up is dropped.  For r = 4 this leaves 49 of 81 offsets: the
+reach of a radius-4 window at the match cost of radius 3.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError, _check_flow, _check_int, _check_stack
+from .errors import _check_flow, _check_int, _check_stack
 from .sampling import bilinear_sample
 
 # Bytes of both feature stacks that one row tile of correlate spans.  On a
@@ -19,60 +19,43 @@ from .sampling import bilinear_sample
 _TILE_BYTES = 8 << 20
 
 
-def dilated_mask(radius: int) -> np.ndarray:
-    """Boolean (2r+1, 2r+1) mask of active search offsets."""
-    radius = _check_int(radius, "radius", 0)
+def _dilated_offsets(radius: int) -> np.ndarray:
+    """The window's (dx, dy) offsets, rows of dy then dx ascending, shape (M, 2)."""
     span = np.arange(-radius, radius + 1)
-    manhattan = np.abs(span)[:, None] + np.abs(span)[None, :]
-    mask = np.ones(manhattan.shape, dtype=bool)
-    for k in range(2, radius + 1):
-        mask &= manhattan != 2 * k
-    return mask
+    dy, dx = np.meshgrid(span, span, indexing="ij")
+    manhattan = np.abs(dx) + np.abs(dy)
+    keep = (manhattan % 2 == 1) | (manhattan <= 2)
+    return np.stack([dx[keep], dy[keep]], axis=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchGrid:
-    """A search radius plus the boolean mask of offsets to correlate."""
+    """The dilated search window of a radius >= 0."""
 
     radius: int
-    mask: np.ndarray
 
     def __post_init__(self):
-        self.radius = _check_int(self.radius, "radius", 0)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        side = 2 * self.radius + 1
-        if self.mask.shape != (side, side):
-            raise ShapeError(f"mask must be ({side}, {side}) for radius {self.radius}")
-        if not self.mask[self.radius, self.radius]:
-            raise DataError("the center offset must stay active")
+        object.__setattr__(self, "radius", _check_int(self.radius, "radius", 0))
 
     @classmethod
     def dilated(cls, radius: int) -> "SearchGrid":
-        return cls(radius, dilated_mask(radius))
-
-    @classmethod
-    def full(cls, radius: int) -> "SearchGrid":
-        side = 2 * _check_int(radius, "radius", 0) + 1
-        return cls(radius, np.ones((side, side), dtype=bool))
+        return cls(radius)
 
     @property
     def offsets(self) -> np.ndarray:
-        """Active (dx, dy) pairs in row-major mask order, shape (M, 2)."""
-        dy, dx = np.nonzero(self.mask)
-        return np.stack([dx - self.radius, dy - self.radius], axis=1)
+        return _dilated_offsets(self.radius)
 
     @property
     def active_count(self) -> int:
-        return int(self.mask.sum())
+        return len(self.offsets)
 
 
 @dataclass
 class CostVolume:
-    """Correlation scores per active offset, shape (M, H, W)."""
+    """Correlation scores per window offset, shape (M, H, W)."""
 
     scores: np.ndarray
     offsets: np.ndarray  # (M, 2) as (dx, dy)
-    radius: int
 
 
 def correlate(
@@ -80,10 +63,10 @@ def correlate(
     feat_b: np.ndarray,
     grid: SearchGrid,
 ) -> CostVolume:
-    """Inner products of feat_a(u) with feat_b(u + d) over active offsets.
+    """Inner products of feat_a(u) with feat_b(u + d) over the window's offsets.
 
     Out-of-bounds samples of feat_b act as zero features.  Scores divide
-    by the number of active offsets.  Rows are visited in tiles of about
+    by the number of offsets.  Rows are visited in tiles of about
     _TILE_BYTES of both stacks, every offset per tile, so a large stack
     streams through memory once rather than once per offset; a stack that
     fits the budget is a single tile.
@@ -107,7 +90,7 @@ def correlate(
             # einsum sums a[c] * b[c] per pixel in channel order from 0.0,
             # like naive_correlate, without a (C, H', W') product temporary.
             scores[m, ay_lo:ay_hi, ax_lo:ax_hi] = np.einsum("chw,chw->hw", a, b) / denom
-    return CostVolume(scores, offsets, grid.radius)
+    return CostVolume(scores, offsets)
 
 
 def warp_features(features: np.ndarray, flow: np.ndarray) -> np.ndarray:

@@ -45,13 +45,17 @@ class EventStream:
     t_end: int
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.int32)
-        self.y = np.asarray(self.y, dtype=np.int32)
-        self.t = np.asarray(self.t, dtype=np.int64)
-        self.p = np.asarray(self.p, dtype=np.int8)
-        n = len(self.t)
-        if not (len(self.x) == len(self.y) == len(self.p) == n):
+        x, y, t, p = (np.asarray(a) for a in (self.x, self.y, self.t, self.p))
+        n = len(t)
+        if not (len(x) == len(y) == len(p) == n):
             raise ShapeError("event component arrays must have equal length")
+        # Values are checked before the narrowing casts below, which would
+        # wrap or truncate them silently, and compared rather than
+        # differenced, which would wrap an unsigned or narrow t.  bool is
+        # not an integer dtype; an empty list, float64 to numpy, holds no
+        # value to misstore.
+        if n and not all(np.issubdtype(a.dtype, np.integer) for a in (x, y, t, p)):
+            raise DataError("event components must be integer arrays")
         self.width = _check_int(self.width, "sensor dimensions (width)", 1)
         self.height = _check_int(self.height, "sensor dimensions (height)", 1)
         self.t_start = _check_int(self.t_start, "t_start")
@@ -59,19 +63,23 @@ class EventStream:
         if self.t_end < self.t_start:
             raise DataError("stream requires t_start <= t_end")
         if n:
-            if np.any(np.diff(self.t) < 0):
+            if np.any(t[1:] < t[:-1]):
                 raise DataError("events must be sorted by timestamp")
-            if self.t[0] < self.t_start or self.t[-1] > self.t_end:
+            if t[0] < self.t_start or t[-1] > self.t_end:
                 raise DataError("event timestamps outside [t_start, t_end]")
             if (
-                self.x.min() < 0
-                or self.x.max() >= self.width
-                or self.y.min() < 0
-                or self.y.max() >= self.height
+                x.min() < 0
+                or x.max() >= self.width
+                or y.min() < 0
+                or y.max() >= self.height
             ):
                 raise DataError("event coordinates outside the sensor")
-            if not np.all(np.abs(self.p) == 1):
+            if not np.all(np.abs(p) == 1):
                 raise DataError("polarities must be -1 or +1")
+        self.x = x.astype(np.int32, copy=False)
+        self.y = y.astype(np.int32, copy=False)
+        self.t = t.astype(np.int64, copy=False)
+        self.p = p.astype(np.int8, copy=False)
 
     def __len__(self) -> int:
         return len(self.t)

@@ -52,15 +52,6 @@ class AttentionOperator:
         if not np.all(np.abs(sums - 1.0) <= 1e-6):
             raise DataError("attention weights must sum to 1 per pixel")
 
-    @classmethod
-    def identity(cls, window: int, height: int, width: int) -> "AttentionOperator":
-        window = _check_int(window, "attention window", 1)
-        height, width = _check_int(height, "height", 1), _check_int(width, "width", 1)
-        weights = np.zeros((window**2, height, width))
-        center = (window // 2) * window + window // 2
-        weights[center] = 1.0
-        return cls(window, weights)
-
     def apply(self, field: np.ndarray) -> np.ndarray:
         field = _check_flow(field, size=self.weights.shape[1:])
         height, width = field.shape[:2]

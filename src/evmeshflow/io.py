@@ -59,8 +59,6 @@ def read_evt1(path) -> EventStream:
         raise FormatError("EVT1 payload size does not match header count")
     records = np.frombuffer(body, dtype=_EVT1_RECORD)
     t = records["t"].astype(np.int64)
-    if np.any(np.diff(t) < 0):
-        raise FormatError("EVT1 timestamps are not sorted")
     try:
         return EventStream(
             records["x"].astype(np.int32),

@@ -24,7 +24,6 @@ from evmeshflow import (
     confidence_fuse,
     correlate,
     density,
-    dilated_mask,
     downsample_to_mesh,
     epe,
     extract_meshflow,
@@ -68,18 +67,19 @@ def _constant_flow(h, w, u, v):
 
 def test_criterion_01_dilated_mask_counts():
     start = time.perf_counter()
-    counts = {r: int(dilated_mask(r).sum()) for r in (1, 2, 4)}
+    offsets = {r: SearchGrid.dilated(r).offsets for r in (1, 2, 4)}
     elapsed = time.perf_counter() - start
+    counts = {r: len(o) for r, o in offsets.items()}
+    reach = {r: int(np.abs(o).max()) for r, o in offsets.items()}
     ok = (
         counts[4] == 49
-        and dilated_mask(4).size == 81
         and counts[2] == 21
-        and dilated_mask(2).size == 25
         and counts[1] == 9
         and counts[4] == 7**2
+        and all(reach[r] == r for r in offsets)
         and elapsed < 1.0
     )
-    _report(1, "dilated mask counts", ok, f"r4={counts[4]}/81 r2={counts[2]}/25 r1={counts[1]}/9 in {elapsed:.4f}s")
+    _report(1, "dilated window counts", ok, f"r4={counts[4]}/81 r2={counts[2]}/25 r1={counts[1]}/9, reach {reach[4]}/{reach[2]}/{reach[1]} px, in {elapsed:.4f}s")
 
 
 def test_criterion_02_correlation_oracle():
@@ -317,7 +317,9 @@ def test_criterion_09_fusion_identities():
 
     conf_exact = np.array_equal(confidence_fuse(flow, other, np.ones((6, 6))), flow)
 
-    op = AttentionOperator.identity(3, 6, 6)
+    weights = np.zeros((9, 6, 6))
+    weights[4] = 1.0  # the centre of the 3 x 3 window: the identity
+    op = AttentionOperator(3, weights)
     cdc_ok = all(
         np.allclose(cdc_fuse(flow, np.zeros_like(flow), op, alpha=a), flow, atol=1e-12)
         for a in (0.0, 0.6, 1.0)

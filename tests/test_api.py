@@ -77,6 +77,13 @@ def test_deleted_keywords_are_gone():
     assert "t_ref" not in {field.name for field in dataclasses.fields(evmeshflow.WarpedEvents)}
     fields = {field.name for field in dataclasses.fields(evmeshflow.Scene)}
     assert "intensity_floor" not in fields
+    assert not hasattr(evmeshflow, "dilated_mask")
+    assert not hasattr(evmeshflow.correlation, "dilated_mask")
+    assert not hasattr(evmeshflow.SearchGrid, "full")
+    assert not hasattr(evmeshflow.AttentionOperator, "identity")
+    assert [field.name for field in dataclasses.fields(evmeshflow.SearchGrid)] == ["radius"]
+    volume_fields = [field.name for field in dataclasses.fields(evmeshflow.CostVolume)]
+    assert volume_fields == ["scores", "offsets"]
 
 
 # Prints the scipy modules loaded so far, as one JSON line.

@@ -10,7 +10,8 @@ plane count, a stack with no planes does too.  A mesh one vertex wide
 raises ShapeError.  The valid array passes, so each raise comes from the
 array under test.  The cases at the end pin that a NaN bound fails and
 that a count must be an integer: a float, even a whole one, NaN or a
-bool fails, while a numpy integer passes.
+bool fails, while a numpy integer passes.  Event components are integer
+arrays too, checked before they are cast to the stream's dtypes.
 """
 
 import math
@@ -36,7 +37,6 @@ from evmeshflow import (
     contrast,
     correlate,
     density,
-    dilated_mask,
     downsample_to_mesh,
     extract_meshflow,
     mdc_loss,
@@ -74,7 +74,9 @@ def _flow():
 
 
 def _weights():
-    return AttentionOperator.identity(3, N, N).weights
+    weights = np.zeros((9, N, N))
+    weights[4] = 1.0  # the centre of the 3 x 3 window
+    return weights
 
 
 def _mesh():
@@ -242,21 +244,10 @@ def _render(**fields):
 # are pinned above.
 _COUNTS = {
     "voxelize-bins": (lambda v: voxelize(_events(), v), 2),
-    "dilated_mask-radius": (dilated_mask, 2),
-    "SearchGrid-radius": (lambda v: SearchGrid(v, np.ones((5, 5), dtype=bool)), 2),
-    "SearchGrid.full-radius": (SearchGrid.full, 2),
+    "SearchGrid-radius": (SearchGrid, 2),
     "upsample_bilinear-height": (lambda v: upsample_bilinear(_mesh(), v, N), N),
     "upsample_bilinear-width": (lambda v: upsample_bilinear(_mesh(), N, v), N),
     "AttentionOperator-window": (lambda v: AttentionOperator(v, _weights()), 3),
-    "AttentionOperator.identity-window": (
-        lambda v: AttentionOperator.identity(v, N, N), 3
-    ),
-    "AttentionOperator.identity-height": (
-        lambda v: AttentionOperator.identity(3, v, N), N
-    ),
-    "AttentionOperator.identity-width": (
-        lambda v: AttentionOperator.identity(3, N, v), N
-    ),
     "EventStream-width": (lambda v: _events(width=v), N),
     "EventStream-height": (lambda v: _events(height=v), N),
     "EventStream-t_start": (lambda v: _events(t_start=v), 0),
@@ -295,12 +286,40 @@ def test_numpy_integer_count_accepted(call, valid):
     call(np.int64(valid))
 
 
+# component -> a value that a cast to the stream's dtypes (int32 x and y,
+# int64 t, int8 p) would wrap or truncate into a valid event on the 8 x 8
+# sensor: x = 2**32 + 1 would be pixel 1, t = 5.7 stamp 5, p = 257 and 1.9
+# polarity +1.
+_MISSTORED_EVENTS = {
+    "x-wraps": ("x", 2**32 + 1),
+    "y-wraps": ("y", -(2**32) + 3),
+    "x-fraction": ("x", 1.5),
+    "t-fraction": ("t", 5.7),
+    "t-whole-float": ("t", 5.0),
+    "p-fraction": ("p", 1.9),
+    "p-wraps": ("p", 257),
+    "x-bool": ("x", True),
+    "p-bool": ("p", True),
+}
+
+
 @pytest.mark.parametrize(
-    "sizes", [(0, N, N), (3, 0, N), (3, N, 0)], ids=["window", "height", "width"]
+    "field, value", [pytest.param(*row, id=name) for name, row in _MISSTORED_EVENTS.items()]
 )
-def test_identity_attention_below_minimum_rejected(sizes):
-    with pytest.raises(ParameterError):
-        AttentionOperator.identity(*sizes)
+def test_misstored_event_rejected(field, value):
+    events = {"x": [1], "y": [1], "t": [5], "p": [1], field: np.array([value])}
+    with pytest.raises(DataError):
+        EventStream(**events, width=N, height=N, t_start=0, t_end=10)
+
+
+def test_narrow_integer_events_keep_their_values():
+    wide = EventStream([1, 7], [0, 7], [5, 9], [1, -1], N, N, 0, 10)
+    narrow = EventStream(
+        np.array([1, 7], np.uint16), np.array([0, 7], np.int8),
+        np.array([5, 9], np.uint32), np.array([1, -1], np.int64), N, N, 0, 10,
+    )
+    for field in ("x", "y", "t", "p"):
+        assert getattr(narrow, field).tobytes() == getattr(wide, field).tobytes()
 
 
 def test_empty_image_not_written(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,10 @@ from hypothesis.extra.numpy import arrays
 from evmeshflow import correlation
 from evmeshflow import (
     CostVolume,
-    DataError,
     ParameterError,
     SearchGrid,
     ShapeError,
     correlate,
-    dilated_mask,
     seeded_rng,
     warp_features,
 )
@@ -20,79 +20,96 @@ from evmeshflow import (
 from _oracles import naive_correlate
 
 
+def _full_offsets(radius):
+    """Every (dx, dy) of the (2r+1) x (2r+1) square, rows of dy then dx ascending."""
+    span = range(-radius, radius + 1)
+    return np.array([(dx, dy) for dy in span for dx in span])
+
+
+def _window(radius):
+    """The dilated window's offsets as a set of (dx, dy) pairs."""
+    return {(int(dx), int(dy)) for dx, dy in SearchGrid.dilated(radius).offsets}
+
+
+def _oracle(feat_a, feat_b, radius, full=False):
+    """naive_correlate over the window, or over the whole square cut to its rows.
+
+    Either way scores divide by the window's offset count, so the square's
+    rows at the window's offsets must equal the window's volume.
+    """
+    grid = SearchGrid.dilated(radius)
+    if not full:
+        return naive_correlate(feat_a, feat_b, grid.offsets, grid.active_count)
+    square, window = _full_offsets(radius), _window(radius)
+    scores = naive_correlate(feat_a, feat_b, square, grid.active_count)
+    return scores[np.array([tuple(o) in window for o in square.tolist()])]
+
+
 class TestDilatedMask:
     def test_negative_radius_rejected(self):
         with pytest.raises(ParameterError):
-            dilated_mask(-1)
+            SearchGrid.dilated(-1)
 
     def test_pinned_active_counts(self):
-        assert dilated_mask(0).sum() == 1
-        assert dilated_mask(1).sum() == 9
-        assert dilated_mask(2).sum() == 21
-        assert dilated_mask(3).sum() == 33
-        assert dilated_mask(4).sum() == 49
+        for radius, count in enumerate((1, 9, 21, 33, 49)):
+            grid = SearchGrid.dilated(radius)
+            assert len(grid.offsets) == grid.active_count == count
 
     def test_radius_two_masks_only_diagonal_corners(self):
-        mask = dilated_mask(2)
-        inactive = {(dx, dy) for dy in range(-2, 3) for dx in range(-2, 3)
-                    if not mask[dy + 2, dx + 2]}
-        assert inactive == {(2, 2), (2, -2), (-2, 2), (-2, -2)}
+        square = {tuple(o) for o in _full_offsets(2).tolist()}
+        assert square - _window(2) == {(2, 2), (2, -2), (-2, 2), (-2, -2)}
 
     def test_masked_offsets_follow_even_manhattan_rule(self):
+        # The window drops every offset of Manhattan length 2k, k in [2, r],
+        # and keeps the rest of the square in its row-major order.
         for radius in range(6):
-            mask = dilated_mask(radius)
-            span = np.arange(-radius, radius + 1)
-            manhattan = np.abs(span)[:, None] + np.abs(span)[None, :]
-            expected = np.ones_like(mask)
-            for k in range(2, radius + 1):
-                expected &= manhattan != 2 * k
-            assert np.array_equal(mask, expected)
+            full = _full_offsets(radius)
+            manhattan = np.abs(full).sum(axis=1)
+            dropped = np.isin(manhattan, [2 * k for k in range(2, radius + 1)])
+            offsets = SearchGrid.dilated(radius).offsets
+            assert offsets.dtype == np.int64
+            assert np.array_equal(offsets, full[~dropped])
 
     def test_center_and_symmetries(self):
         for radius in range(6):
-            mask = dilated_mask(radius)
-            assert mask[radius, radius]
-            assert np.array_equal(mask, mask[::-1, ::-1])
-            assert np.array_equal(mask, mask[:, ::-1])
-            assert np.array_equal(mask, mask.T)
+            window = _window(radius)
+            assert (0, 0) in window
+            assert {(-dx, -dy) for dx, dy in window} == window
+            assert {(-dx, dy) for dx, dy in window} == window
+            assert {(dy, dx) for dx, dy in window} == window
 
     def test_dense_core_always_active(self):
-        # Masked Manhattan lengths are even and >= 4, so the full
+        # Dropped Manhattan lengths are even and >= 4, so the full
         # |dx|+|dy| <= 3 neighborhood survives at any radius.
         for radius in range(2, 8):
-            mask = dilated_mask(radius)
-            span = np.arange(-radius, radius + 1)
-            manhattan = np.abs(span)[:, None] + np.abs(span)[None, :]
-            assert mask[manhattan <= 3].all()
+            core = {tuple(o) for o in _full_offsets(radius).tolist() if abs(o[0]) + abs(o[1]) <= 3}
+            assert core <= _window(radius)
 
     def test_strictly_sparser_than_full_from_radius_two(self):
         for radius in range(2, 8):
             side = 2 * radius + 1
-            assert dilated_mask(radius).sum() < side * side
+            assert len(_window(radius)) < side * side
 
     def test_radius_four_matches_radius_three_cost(self):
-        assert dilated_mask(4).sum() == (2 * 3 + 1) ** 2
+        assert SearchGrid.dilated(4).active_count == (2 * 3 + 1) ** 2
 
 
 class TestSearchGrid:
-    def test_dilated_and_full_constructors(self):
+    def test_dilated_constructor(self):
         grid = SearchGrid.dilated(4)
+        assert grid == SearchGrid(4)
         assert grid.active_count == 49
-        assert SearchGrid.full(4).active_count == 81
+        assert [field.name for field in dataclasses.fields(SearchGrid)] == ["radius"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.radius = 2
 
     def test_center_must_stay_active(self):
-        mask = np.ones((3, 3), dtype=bool)
-        mask[1, 1] = False
-        with pytest.raises(DataError):
-            SearchGrid(1, mask)
-
-    def test_mask_shape_checked(self):
-        with pytest.raises(ShapeError):
-            SearchGrid(2, np.ones((3, 3), dtype=bool))
+        for radius in range(8):
+            assert [0, 0] in SearchGrid(radius).offsets.tolist()
 
     def test_negative_radius(self):
         with pytest.raises(ParameterError):
-            SearchGrid.full(-2)
+            SearchGrid(-2)
 
     def test_offsets_enumerate_active_entries(self):
         grid = SearchGrid.dilated(2)
@@ -106,9 +123,9 @@ class TestSearchGrid:
 class TestCorrelate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            correlate(np.zeros((2, 4, 4)), np.zeros((2, 4, 5)), SearchGrid.full(1))
+            correlate(np.zeros((2, 4, 4)), np.zeros((2, 4, 5)), SearchGrid(1))
         with pytest.raises(ShapeError):
-            correlate(np.zeros((4, 4)), np.zeros((4, 4)), SearchGrid.full(1))
+            correlate(np.zeros((4, 4)), np.zeros((4, 4)), SearchGrid(1))
 
     def test_constant_features_interior_value(self):
         feat = np.full((3, 8, 8), 2.0)  # squared norm S = 12 per pixel
@@ -127,19 +144,15 @@ class TestCorrelate:
         rng = seeded_rng(2)
         feat_a = rng.normal(size=(4, 8, 8))
         feat_b = rng.normal(size=(4, 8, 8))
-        grid = SearchGrid.dilated(2)
-        vol = correlate(feat_a, feat_b, grid)
-        expected = naive_correlate(feat_a, feat_b, grid.offsets, grid.active_count)
-        assert vol.scores.tobytes() == expected.tobytes()
+        vol = correlate(feat_a, feat_b, SearchGrid.dilated(2))
+        assert vol.scores.tobytes() == _oracle(feat_a, feat_b, 2).tobytes()
 
     def test_full_grid_matches_oracle(self):
         rng = seeded_rng(3)
         feat_a = rng.normal(size=(3, 7, 5))
         feat_b = rng.normal(size=(3, 7, 5))
-        grid = SearchGrid.full(2)
-        vol = correlate(feat_a, feat_b, grid)
-        expected = naive_correlate(feat_a, feat_b, grid.offsets, grid.active_count)
-        assert vol.scores.tobytes() == expected.tobytes()
+        vol = correlate(feat_a, feat_b, SearchGrid.dilated(2))
+        assert vol.scores.tobytes() == _oracle(feat_a, feat_b, 2, full=True).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), radius=st.integers(0, 4), full=st.booleans())
@@ -157,10 +170,8 @@ class TestCorrelate:
         )
         feat_a = data.draw(arrays(np.float64, shape, elements=value))
         feat_b = data.draw(arrays(np.float64, shape, elements=value))
-        grid = SearchGrid.full(radius) if full else SearchGrid.dilated(radius)
-        vol = correlate(feat_a, feat_b, grid)
-        expected = naive_correlate(feat_a, feat_b, grid.offsets, grid.active_count)
-        assert vol.scores.tobytes() == expected.tobytes()
+        vol = correlate(feat_a, feat_b, SearchGrid.dilated(radius))
+        assert vol.scores.tobytes() == _oracle(feat_a, feat_b, radius, full).tobytes()
 
     @pytest.mark.parametrize("rows", [1, 4, 7])
     @pytest.mark.parametrize("full", [False, True], ids=["dilated", "full"])
@@ -172,18 +183,17 @@ class TestCorrelate:
         rng = seeded_rng(8)
         feat_a = rng.integers(-3, 4, (channels, height, width)).astype(np.float64)
         feat_b = rng.normal(size=(channels, height, width))
-        grid = SearchGrid.full(4) if full else SearchGrid.dilated(4)
-        vol = correlate(feat_a, feat_b, grid)
-        expected = naive_correlate(feat_a, feat_b, grid.offsets, grid.active_count)
-        assert vol.scores.tobytes() == expected.tobytes()
+        vol = correlate(feat_a, feat_b, SearchGrid.dilated(4))
+        assert vol.scores.tobytes() == _oracle(feat_a, feat_b, 4, full).tobytes()
 
     def test_offset_normalization_ratio(self):
         rng = seeded_rng(5)
         feat_a = rng.normal(size=(2, 9, 9))
         feat_b = rng.normal(size=(2, 9, 9))
         sparse = correlate(feat_a, feat_b, SearchGrid.dilated(4))
-        dense = correlate(feat_a, feat_b, SearchGrid.full(4))
-        dense_by_offset = {tuple(o): dense.scores[m] for m, o in enumerate(dense.offsets)}
+        full = _full_offsets(4)
+        dense = naive_correlate(feat_a, feat_b, full, len(full))
+        dense_by_offset = {tuple(o): dense[m] for m, o in enumerate(full)}
         for m, offset in enumerate(sparse.offsets):
             assert np.allclose(
                 sparse.scores[m] * 49.0, dense_by_offset[tuple(offset)] * 81.0
@@ -205,7 +215,7 @@ class TestCorrelate:
             vol = correlate(feat, feat, grid)
             assert vol.scores.shape == (grid.active_count, 6, 6)
             assert isinstance(vol, CostVolume)
-            assert vol.radius == radius
+            assert np.array_equal(vol.offsets, grid.offsets)
 
 
 class TestWarpFeatures:

@@ -52,6 +52,11 @@ class TestEventStreamValidation:
         with pytest.raises(DataError):
             EventStream([0, 1], [0, 0], [5, 3], [1, 1], 4, 4, 0, 10)
 
+    def test_unsorted_unsigned_times_rejected(self):
+        # The differences of an unsigned t wrap to large positive values.
+        with pytest.raises(DataError, match="sorted"):
+            EventStream([0, 1], [0, 0], np.array([5, 3], np.uint64), [1, 1], 4, 4, 0, 10)
+
     def test_out_of_bounds_coordinates_rejected(self):
         with pytest.raises(DataError):
             EventStream([4], [0], [5], [1], 4, 4, 0, 10)
@@ -756,8 +761,8 @@ class TestGuidedSubsample:
         x = np.where(on_path, np.rint(ux + s * flow[uy, ux, 0]), rng.integers(0, width, count))
         y = np.where(on_path, np.rint(uy + s * flow[uy, ux, 1]), rng.integers(0, height, count))
         stream = EventStream(
-            np.clip(x, 0, width - 1),
-            np.clip(y, 0, height - 1),
+            np.clip(x, 0, width - 1).astype(np.int64),
+            np.clip(y, 0, height - 1).astype(np.int64),
             t,
             rng.choice([-1, 1], size=count),
             width,
@@ -782,7 +787,7 @@ from evmeshflow.events import EventStream, {subsample.__name__} as subsample
 rng = np.random.default_rng(31)
 n = 2000
 stream = EventStream(
-    rng.integers(0, 32, n), rng.integers(0, 32, n), np.arange(n), np.ones(n),
+    rng.integers(0, 32, n), rng.integers(0, 32, n), np.arange(n), np.ones(n, np.int8),
     32, 32, 0, n - 1,
 )
 flow = rng.normal(3.0, 2.0, size=(32, 32, 2))
@@ -837,8 +842,9 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         x = np.where(on_path, np.rint(ux + s * flow[uy, ux, 0]), rng.integers(0, width, count))
         y = np.where(on_path, np.rint(uy + s * flow[uy, ux, 1]), rng.integers(0, height, count))
         stream = EventStream(
-            np.clip(x, 0, width - 1), np.clip(y, 0, height - 1), t,
-            rng.choice([-1, 1], size=count), width, height, 0, span,
+            np.clip(x, 0, width - 1).astype(np.int64),
+            np.clip(y, 0, height - 1).astype(np.int64),
+            t, rng.choice([-1, 1], size=count), width, height, 0, span,
         )
         # Spatial seeds a lattice of spacing 3; temporal keeps every stamp.
         keep_ratio = 0.1 if subsample is spatial_guided_subsample else 1.0

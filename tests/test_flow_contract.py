@@ -51,11 +51,13 @@ def _ones():
 def _stream():
     gy, gx = np.mgrid[0:N, 0:N]
     t = np.arange(N * N, dtype=np.int64) * 1000
-    return EventStream(gx.ravel(), gy.ravel(), t, np.ones(N * N), N, N, 0, int(t[-1]))
+    return EventStream(gx.ravel(), gy.ravel(), t, np.ones(N * N, np.int8), N, N, 0, int(t[-1]))
 
 
 def _attention():
-    return AttentionOperator.identity(3, N, N)
+    weights = np.zeros((9, N, N))
+    weights[4] = 1.0  # the centre of the 3 x 3 window
+    return AttentionOperator(3, weights)
 
 
 # name -> (call(field, tmp_path), whether the field's (H, W) must match another input)

@@ -26,6 +26,12 @@ def _uniform_attention(window, height, width):
     return AttentionOperator(window, weights)
 
 
+def _identity_attention(window, height, width):
+    weights = np.zeros((window**2, height, width))
+    weights[window**2 // 2] = 1.0  # the centre of the window
+    return AttentionOperator(window, weights)
+
+
 class TestAttentionOperator:
     def test_window_must_be_odd(self):
         with pytest.raises(ParameterError):
@@ -45,7 +51,7 @@ class TestAttentionOperator:
     def test_identity_returns_field(self):
         rng = seeded_rng(1)
         field = rng.normal(size=(5, 6, 2))
-        op = AttentionOperator.identity(3, 5, 6)
+        op = _identity_attention(3, 5, 6)
         assert np.allclose(op.apply(field), field)
 
     def test_uniform_window_is_local_mean_with_clamping(self):
@@ -73,7 +79,7 @@ class TestCdcFuse:
     def test_identity_configuration(self):
         rng = seeded_rng(2)
         flow = rng.normal(size=(4, 4, 2))
-        op = AttentionOperator.identity(3, 4, 4)
+        op = _identity_attention(3, 4, 4)
         for alpha in (0.0, 0.3, 1.0):
             out = cdc_fuse(flow, np.zeros_like(flow), op, alpha=alpha)
             assert np.allclose(out, flow)
@@ -113,7 +119,7 @@ class TestCdcFuse:
 
     def test_parameter_validation(self):
         flow = np.zeros((4, 4, 2))
-        op = AttentionOperator.identity(3, 4, 4)
+        op = _identity_attention(3, 4, 4)
         with pytest.raises(ParameterError):
             cdc_fuse(flow, flow, op, alpha=1.5)
         with pytest.raises(ShapeError):
