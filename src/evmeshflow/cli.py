@@ -141,44 +141,46 @@ def _write_density(out: Path, thresholds, streams, densities) -> tuple[str, str]
 # Commands: each returns its manifest entries (name, note) and a summary line.
 
 
+def _rendered(scene: Scene):
+    """The scene's adaptive (t, frame) pairs, one at a time, in render stages."""
+    with _stage("render"):
+        times = adaptive_timestamps(scene, scene.t_start, scene.t_end)
+    for t in times:
+        with _stage("render"):
+            frame = render_frame(scene, t)
+        yield t, frame
+
+
 def cmd_gen(cfg, out: Path, seed: int):
     with _config(cfg):
         scene = _scene_from_config(cfg, seed)
         spec = _mesh_spec(cfg)
-    with _stage("gen"):
-        times = adaptive_timestamps(scene, scene.t_start, scene.t_end)
-        frames = [render_frame(scene, t) for t in times]
-        flows = [flow_between(scene, ta, tb) for ta, tb in zip(times, times[1:])]
-        meshes = [extract_meshflow(flow, spec) for flow in flows]
-    entries = []
-    with _stage("write"):
-        for k, (t, frame) in enumerate(zip(times, frames)):
-            name = f"frame_{k:04d}.pgm"
+    times, frame_entries, pair_entries = [], [], []
+    for k, (t, frame) in enumerate(_rendered(scene)):
+        name = f"frame_{k:04d}.pgm"
+        with _stage("write"):
             io.write_pgm(out / name, frame)
-            entries.append((name, f"t={t:.9f}"))
-        for k, (flow, msh) in enumerate(zip(flows, meshes)):
-            note = f"interval=[{times[k]:.9f},{times[k + 1]:.9f}]"
-            name = f"flow_{k:04d}_{k + 1:04d}.flo1"
-            io.write_flo1(out / name, flow)
-            entries.append((name, note))
-            name = f"mesh_{k:04d}_{k + 1:04d}.msh1"
-            io.write_msh1(out / name, msh)
-            entries.append((name, note))
+        frame_entries.append((name, f"t={t:.9f}"))
+        if times:
+            with _stage("gen"):
+                flow = flow_between(scene, times[-1], t)
+                msh = extract_meshflow(flow, spec)
+            note = f"interval=[{times[-1]:.9f},{t:.9f}]"
+            pair = f"{k - 1:04d}_{k:04d}"
+            with _stage("write"):
+                io.write_flo1(out / f"flow_{pair}.flo1", flow)
+                io.write_msh1(out / f"mesh_{pair}.msh1", msh)
+            del flow, msh  # freed before the next render, not after it
+            pair_entries += [(f"flow_{pair}.flo1", note), (f"mesh_{pair}.msh1", note)]
+        times.append(t)
+    with _stage("write"):
         io.write_csv_rows(
             out / "times.csv",
             ["index", "time"],
             [[k, repr(t)] for k, t in enumerate(times)],
         )
-        entries.append(("times.csv", f"count={len(times)}"))
-    return entries, f"gen: {len(times)} frames, {len(flows)} intervals"
-
-
-def _rendered(scene: Scene, times):
-    """(t, frame) pairs rendered one at a time, each in its own render stage."""
-    for t in times:
-        with _stage("render"):
-            frame = render_frame(scene, t)
-        yield t, frame
+    entries = frame_entries + pair_entries + [("times.csv", f"count={len(times)}")]
+    return entries, f"gen: {len(times)} frames, {len(times) - 1} intervals"
 
 
 def _sweep(cfg, seed: int):
@@ -186,10 +188,8 @@ def _sweep(cfg, seed: int):
         scene = _scene_from_config(cfg, seed)
         thresholds = _floats(cfg.pop("thresholds", "0.2"))
         bins = int(cfg.pop("bins", "5"))
-    with _stage("render"):
-        times = adaptive_timestamps(scene, scene.t_start, scene.t_end)
     with _stage("simulate"):
-        streams = multi_density_sweep(_rendered(scene, times), thresholds)
+        streams = multi_density_sweep(_rendered(scene), thresholds)
     with _stage("voxelize"):
         densities = [density(voxelize(s, bins)) for s in streams]
     return thresholds, streams, densities

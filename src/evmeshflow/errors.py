@@ -3,8 +3,8 @@
 Everything derives from ValueError so callers that do not care about the
 distinction can catch one base class; the CLI maps each subtype to a
 stage-labelled message and a nonzero exit code.  The `_check_*` functions
-hold the one contract each kind of input meets: an integer count at or
-above its minimum, and a non-empty (H, W) image, (N, H, W) plane stack,
+hold the one contract each kind of input meets: an integer count within
+its bounds, and a non-empty (H, W) image, (N, H, W) plane stack,
 finite (H, W, 2) flow or flow-shaped mesh of 2+ vertices per axis.
 """
 
@@ -37,18 +37,24 @@ class StepLimitError(RuntimeError):
     """An adaptive iteration exceeded its step budget."""
 
 
-def _check_int(value, name: str, minimum: int | None = None) -> int:
-    """int(value) for a Python or numpy integer >= minimum; ParameterError otherwise.
+def _check_int(
+    value, name: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
+    """int(value) for a Python or numpy integer in [minimum, maximum]; ParameterError otherwise.
 
-    A bool is a truth value, not a count, and is rejected like any non-integer.
+    Either bound may be None for no bound.  A bool is a truth value, not a
+    count, and is rejected like any non-integer.
     """
     if (
         isinstance(value, Integral)
         and not isinstance(value, bool)
         and (minimum is None or value >= minimum)
+        and (maximum is None or value <= maximum)
     ):
         return int(value)
-    bound = "" if minimum is None else f" >= {minimum}"
+    bound = " and".join(
+        f" {op} {b}" for op, b in ((">=", minimum), ("<=", maximum)) if b is not None
+    )
     raise ParameterError(f"{name} must be a whole number{bound} given as an integer, got {value!r}")
 
 

@@ -56,15 +56,17 @@ class EventStream:
         # value to misstore.
         if n and not all(np.issubdtype(a.dtype, np.integer) for a in (x, y, t, p)):
             raise DataError("event components must be integer arrays")
-        self.width = _check_int(self.width, "sensor dimensions (width)", 1)
-        self.height = _check_int(self.height, "sensor dimensions (height)", 1)
-        self.t_start = _check_int(self.t_start, "t_start")
-        self.t_end = _check_int(self.t_end, "t_end")
+        # The upper bounds keep every in-range x, y and t inside the casts below.
+        int64 = np.iinfo(np.int64)
+        self.width = _check_int(self.width, "sensor dimensions (width)", 1, 2**31)
+        self.height = _check_int(self.height, "sensor dimensions (height)", 1, 2**31)
+        self.t_start = _check_int(self.t_start, "t_start", int64.min, int64.max)
+        self.t_end = _check_int(self.t_end, "t_end", int64.min, int64.max)
+        if n and np.any(t[1:] < t[:-1]):
+            raise DataError("events must be sorted by timestamp")
         if self.t_end < self.t_start:
             raise DataError("stream requires t_start <= t_end")
         if n:
-            if np.any(t[1:] < t[:-1]):
-                raise DataError("events must be sorted by timestamp")
             if t[0] < self.t_start or t[-1] > self.t_end:
                 raise DataError("event timestamps outside [t_start, t_end]")
             if (

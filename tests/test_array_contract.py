@@ -11,7 +11,8 @@ raises ShapeError.  The valid array passes, so each raise comes from the
 array under test.  The cases at the end pin that a NaN bound fails and
 that a count must be an integer: a float, even a whole one, NaN or a
 bool fails, while a numpy integer passes.  Event components are integer
-arrays too, checked before they are cast to the stream's dtypes.
+arrays too, checked before they are cast to the stream's dtypes, on a
+sensor and span whose bounds fit those dtypes.
 """
 
 import math
@@ -286,30 +287,38 @@ def test_numpy_integer_count_accepted(call, valid):
     call(np.int64(valid))
 
 
-# component -> a value that a cast to the stream's dtypes (int32 x and y,
-# int64 t, int8 p) would wrap or truncate into a valid event on the 8 x 8
-# sensor: x = 2**32 + 1 would be pixel 1, t = 5.7 stamp 5, p = 257 and 1.9
-# polarity +1.
+# case -> (stream arguments that differ from a valid one-event stream on
+# the 8 x 8 sensor, the error they raise).  Each value is one that a cast
+# to the stream's dtypes (int32 x and y, int64 t, int8 p) would wrap or
+# truncate: x = 2**32 + 1 would be pixel 1, t = 5.7 stamp 5, p = 257 and
+# 1.9 polarity +1.  A sensor wider than 2**31 px would let x = 2**31 + 5
+# wrap negative, and a span past int64 a uint64 t of 2**63 + 9.
 _MISSTORED_EVENTS = {
-    "x-wraps": ("x", 2**32 + 1),
-    "y-wraps": ("y", -(2**32) + 3),
-    "x-fraction": ("x", 1.5),
-    "t-fraction": ("t", 5.7),
-    "t-whole-float": ("t", 5.0),
-    "p-fraction": ("p", 1.9),
-    "p-wraps": ("p", 257),
-    "x-bool": ("x", True),
-    "p-bool": ("p", True),
+    "x-wraps": ({"x": np.array([2**32 + 1])}, DataError),
+    "y-wraps": ({"y": np.array([-(2**32) + 3])}, DataError),
+    "x-fraction": ({"x": np.array([1.5])}, DataError),
+    "t-fraction": ({"t": np.array([5.7])}, DataError),
+    "t-whole-float": ({"t": np.array([5.0])}, DataError),
+    "p-fraction": ({"p": np.array([1.9])}, DataError),
+    "p-wraps": ({"p": np.array([257])}, DataError),
+    "x-bool": ({"x": np.array([True])}, DataError),
+    "p-bool": ({"p": np.array([True])}, DataError),
+    "x-past-int32-sensor": ({"x": np.array([2**31 + 5]), "width": 2**32}, ParameterError),
+    "t-past-int64-span": (
+        {"t": np.array([2**63 + 9], np.uint64), "t_end": 2**64},
+        ParameterError,
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "field, value", [pytest.param(*row, id=name) for name, row in _MISSTORED_EVENTS.items()]
+    "changes, error", [pytest.param(*row, id=name) for name, row in _MISSTORED_EVENTS.items()]
 )
-def test_misstored_event_rejected(field, value):
-    events = {"x": [1], "y": [1], "t": [5], "p": [1], field: np.array([value])}
-    with pytest.raises(DataError):
-        EventStream(**events, width=N, height=N, t_start=0, t_end=10)
+def test_misstored_event_rejected(changes, error):
+    stream = {"x": [1], "y": [1], "t": [5], "p": [1]}
+    stream |= {"width": N, "height": N, "t_start": 0, "t_end": 10}
+    with pytest.raises(error):
+        EventStream(**(stream | changes))
 
 
 def test_narrow_integer_events_keep_their_values():

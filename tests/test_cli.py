@@ -86,6 +86,81 @@ class TestGen:
         b = (out_b / "frame_0000.pgm").read_bytes()
         assert a != b
 
+    def test_each_frame_written_before_the_next_render(self, tmp_path, capsys, monkeypatch):
+        # gen streams: frame k and the flow/mesh pair ending at it reach
+        # disk before frame k + 1 is rendered, so no list of them builds up.
+        log = []
+
+        def render(scene, t):
+            log.append("render")
+            return render_frame(scene, t)
+
+        def logged(writer):
+            def write(path, data):
+                log.append(path.name)
+                return writer(path, data)
+            return write
+
+        monkeypatch.setattr(evmeshflow.cli, "render_frame", render)
+        for name in ("write_pgm", "write_flo1", "write_msh1"):
+            monkeypatch.setattr(
+                evmeshflow.cli.io, name, logged(getattr(evmeshflow.cli.io, name))
+            )
+        code, stdout, _ = _run(
+            capsys, "gen", "--out", tmp_path / "out", "velocity=10,0", "width=32", "height=32"
+        )
+        assert code == 0 and "11 frames" in stdout
+        expected = []
+        for k in range(11):
+            expected += ["render", f"frame_{k:04d}.pgm"]
+            if k:
+                expected += [f"flow_{k - 1:04d}_{k:04d}.flo1", f"mesh_{k - 1:04d}_{k:04d}.msh1"]
+        assert log == expected
+
+    def test_manifest_lists_frames_then_pairs_then_times(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _run(capsys, "gen", "--out", out, "velocity=10,0", "width=32", "height=32")[0] == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        times = [f"{float(t):.9f}" for _, t in _read_csv(out / "times.csv")[1:]]
+        expected = ["# gen artifacts"]
+        expected += [f"frame_{k:04d}.pgm\tt={t}" for k, t in enumerate(times)]
+        for k in range(1, len(times)):
+            note = f"interval=[{times[k - 1]},{times[k]}]"
+            pair = f"{k - 1:04d}_{k:04d}"
+            expected += [f"flow_{pair}.flo1\t{note}", f"mesh_{pair}.msh1\t{note}"]
+        expected.append(f"times.csv\tcount={len(times)}")
+        assert len(times) == 11 and lines == expected
+
+    @pytest.mark.parametrize(
+        "module, name, fail_at, stage",
+        [
+            pytest.param(evmeshflow.cli, "adaptive_timestamps", 1, "render", id="times"),
+            pytest.param(evmeshflow.cli, "render_frame", 3, "render", id="render"),
+            pytest.param(evmeshflow.cli, "extract_meshflow", 3, "gen", id="meshflow"),
+            pytest.param(evmeshflow.cli.io, "write_flo1", 3, "write", id="write"),
+        ],
+    )
+    def test_failure_mid_run_names_its_stage(
+        self, tmp_path, capsys, monkeypatch, module, name, fail_at, stage
+    ):
+        calls = []
+        original = getattr(module, name)
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == fail_at:
+                raise RuntimeError("stage broke")
+            return original(*args)
+
+        monkeypatch.setattr(module, name, failing)
+        out = tmp_path / "out"
+        code, _, stderr = _run(
+            capsys, "gen", "--out", out, "velocity=10,0", "width=32", "height=32"
+        )
+        assert code == 1
+        assert stderr.startswith(f"error [{stage}]:") and "stage broke" in stderr
+        assert not (out / "manifest.txt").exists()
+
 
 class TestSimulateAndDensity:
     def test_threshold_sweep_density_non_increasing(self, tmp_path, capsys):

@@ -99,7 +99,7 @@ class TestEvt1:
             (16, "<H", 32, "outside the sensor"),
             (18, "<H", 24, "outside the sensor"),
             (28, "<b", 0, "polarities"),
-            (20, "<q", 2**40, "t_start <= t_end"),
+            (20, "<q", 2**40, "sorted by timestamp"),
             (4, "<H", 0, "sensor dimensions"),
         ],
         ids=["x=width", "y=height", "p=0", "unsorted-t", "width=0"],
