@@ -13,6 +13,8 @@ there, whether it came from the file or from an override.
 """
 
 import argparse
+import functools
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -360,7 +362,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones.
+
+    Parsing keeps no state between calls: every call returns a fresh
+    namespace, and the defaults are immutable.
+    """
     parser = argparse.ArgumentParser(
         prog="evmeshflow",
         description="Synthetic event-camera meshflow pipeline.",
@@ -401,7 +409,14 @@ def main(argv=None) -> int:
     except StageError as err:
         print(f"error [{err.stage}]: {err}", file=sys.stderr)
         return 1
-    print(summary)
+    try:
+        print(summary, flush=True)
+    except BrokenPipeError:
+        # The reader left early, after every artifact was written.  Point
+        # stdout at devnull so the flush at shutdown raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

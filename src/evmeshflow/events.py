@@ -258,20 +258,26 @@ def multi_density_sweep(frames, thresholds) -> list[EventStream]:
                 )
         if la is None:
             refs = [lb.copy() for _ in thresholds]
+            # Per-pixel buffers, reused by every interval and threshold.
+            gap, size = np.empty_like(lb), np.empty_like(lb)
         else:
             for j, (c, ref) in enumerate(zip(thresholds, refs)):
-                gap = lb - ref
-                size = np.abs(gap)
-                expected[j] += np.floor(size / c).sum()
-                if expected[j] > _EVENT_BUDGET:
-                    raise StepLimitError(
-                        f"threshold {c!r} would emit over {_EVENT_BUDGET} events"
-                    )
+                np.subtract(lb, ref, out=gap)
+                np.abs(gap, out=size)
                 # With S = spacing(peak + c), a pixel fires first when
                 # s * lb >= fl(s * ref + c) >= s * ref + c - S / 2, and the
                 # rounded |gap| is within S of |lb - ref|, so a pixel with
                 # |gap| below fl(c - 2 * S) <= c - 1.5 * S cannot fire.
                 cand = np.flatnonzero(size >= c - 2.0 * np.spacing(peak + c))
+                # floor(size / c) is 0 off the candidates, and whole float64s
+                # add exactly in any order below 2**53 (and stay above the
+                # budget once past it), so the budget fails at the interval
+                # where a sum over every pixel would.
+                expected[j] += np.floor(size[cand] / c).sum()
+                if expected[j] > _EVENT_BUDGET:
+                    raise StepLimitError(
+                        f"threshold {c!r} would emit over {_EVENT_BUDGET} events"
+                    )
                 events = _interval_events(ref, gap, la, lb, ta, tb, c, cand)
                 if events is not None:
                     pix, te, sign = events
@@ -357,13 +363,21 @@ def cKDTree(points):
 
 
 def _lattice_box(q, r, spacing, n):
-    """First index and size of the index box floor((q - r) / spacing) ..
-    ceil((q + r) / spacing) of each q, clipped to the lattice's indices 0 .. n - 1.
+    """First index and size of the index box ceil((q - r) / spacing) ..
+    floor((q + r) / spacing) of each q, clipped to the lattice's indices 0 .. n - 1.
 
-    A box that misses the lattice has size 0.
+    The box holds the indices i with |i * spacing - q| <= r, and no other
+    up to the rounding of its bounds; one that misses the lattice has size 0.
+    The box is exact only if r carries a slack for float rounding:
+    `_near_seed_paths` adds M * 2**-47 >= 32 * spacing(M), where
+    M = tolerance + max(width, height) + 4 * max|seed flow| bounds every
+    value its distance test and its box bounds compute.  Each of those
+    roundings errs by at most spacing(M + slack) / 2 <= spacing(M), and
+    together they put a pair the float test accepts less than 11 * spacing(M)
+    outside the exact box of its event.
     """
-    first = np.clip(np.floor((q - r) / spacing), 0, n).astype(np.intp)
-    last = np.clip(np.ceil((q + r) / spacing), -1, n - 1).astype(np.intp)
+    first = np.clip(np.ceil((q - r) / spacing), 0, n).astype(np.intp)
+    last = np.clip(np.floor((q + r) / spacing), -1, n - 1).astype(np.intp)
     return first, np.maximum(last - first + 1, 0)
 
 
@@ -375,8 +389,9 @@ def _near_seed_paths(stream, flow, spacing, tolerance, candidates):
     s * reach of u + s * centre, so every seed within `tolerance` of an event
     e at time s lies within r = tolerance + s * reach of q = e - s * centre.
     The seeds are the lattice (i, j) * spacing, so those seeds lie in the
-    index box floor((q - r) / spacing) .. ceil((q + r) / spacing) per axis,
-    clipped to the lattice: index arithmetic, with no spatial tree and no
+    index box ceil((q - r) / spacing) .. floor((q + r) / spacing) per axis,
+    clipped to the lattice, once r is widened by `_lattice_box`'s slack
+    against float rounding: index arithmetic, with no spatial tree and no
     scipy.  The exact distance test then decides on the seeds of each box
     alone.
     """
@@ -395,8 +410,10 @@ def _near_seed_paths(stream, flow, spacing, tolerance, candidates):
     s = _normalized_times(stream)[idx]
     ex = stream.x[idx].astype(np.float64)
     ey = stream.y[idx].astype(np.float64)
-    # The slack only widens the boxes; exactness rests on the test below.
-    radius = (tolerance + s * reach) * (1 + 1e-9) + 1e-9
+    # _lattice_box's slack M * 2**-47, summed term by term so it cannot overflow.
+    slack = (tolerance + max(stream.width, stream.height)) * 2.0**-47
+    slack += np.abs(lattice).max() * 2.0**-45
+    radius = tolerance + s * reach + slack
     first_x, size_x = _lattice_box(ex - s * centre_x, radius, spacing, cols)
     first_y, size_y = _lattice_box(ey - s * centre_y, radius, spacing, rows)
     counts = size_x * size_y

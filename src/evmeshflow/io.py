@@ -30,21 +30,32 @@ _EVT1_RECORD = np.dtype(
 _F32_HEADER = struct.Struct("<4s2I")  # magic, then two uint32 dims
 
 
+# Events per record chunk that write_evt1 fills and writes at a time.
+_EVT1_CHUNK = 2**16
+
+
 def write_evt1(path, stream: EventStream) -> None:
-    """Write an event stream: 16-byte header, then 16-byte event records."""
+    """Write an event stream: 16-byte header, then 16-byte event records.
+
+    The records go out in chunks of _EVT1_CHUNK events through one reused
+    buffer, so no (N,) record array is built.
+    """
     if stream.width > _EVT1_MAX_SIDE or stream.height > _EVT1_MAX_SIDE:
         raise ParameterError(
             f"EVT1 holds sensors up to {_EVT1_MAX_SIDE} px per side, "
             f"got {stream.width}x{stream.height}"
         )
-    records = np.zeros(len(stream), dtype=_EVT1_RECORD)
-    records["x"] = stream.x
-    records["y"] = stream.y
-    records["t"] = stream.t
-    records["p"] = stream.p
+    n = len(stream)
+    # Zeroed once: the fields are overwritten per chunk, the padding stays 0.
+    buffer = np.zeros(min(n, _EVT1_CHUNK), dtype=_EVT1_RECORD)
     with open(path, "wb") as fh:
-        fh.write(_EVT1_HEADER.pack(b"EVT1", stream.width, stream.height, len(stream)))
-        fh.write(records.tobytes())
+        fh.write(_EVT1_HEADER.pack(b"EVT1", stream.width, stream.height, n))
+        for lo in range(0, n, _EVT1_CHUNK):
+            hi = min(lo + _EVT1_CHUNK, n)
+            records = buffer[: hi - lo]
+            for name in ("x", "y", "t", "p"):
+                records[name] = getattr(stream, name)[lo:hi]
+            fh.write(records)
 
 
 def read_evt1(path) -> EventStream:

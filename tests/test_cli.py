@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -701,3 +705,84 @@ class TestUnusedKeys:
         )
         assert code == 1
         assert stderr.startswith("error [config]:")
+
+
+def _fresh_cli(cwd, *argv, stdout=subprocess.PIPE):
+    """Run the CLI in a new interpreter; return (exit status, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(evmeshflow.cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "evmeshflow.cli", *map(str, argv)],
+        cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestSharedParser:
+    def test_parser_is_built_once_and_clearable(self):
+        assert evmeshflow.cli._build_parser() is evmeshflow.cli._build_parser()
+        assert callable(evmeshflow.cli._build_parser.cache_clear)
+
+    def test_no_flag_carries_over_between_calls(self, tmp_path, capsys, monkeypatch):
+        # subsample with --seed, --config and --out, then gen with none of
+        # them, then subsample with no flag: each run writes the bytes a
+        # fresh interpreter writes for the same arguments, so no seed,
+        # config or output directory survives in the shared parser.
+        scene = Scene(24, 24, 3, MotionSpec("translation", (6.0, -2.0)))
+        stream = simulate(render_sequence(scene, adaptive_timestamps(scene, 0.0, 1.0)), 0.2)
+        from evmeshflow import flow_between
+
+        write_evt1(tmp_path / "events.evt1", stream)
+        write_flo1(tmp_path / "flow.flo1", flow_between(scene, 0.0, 1.0))
+        cfg = tmp_path / "sub.cfg"
+        cfg.write_text(
+            f"events = {tmp_path / 'events.evt1'}\nflow = {tmp_path / 'flow.flo1'}\n"
+            "mode = spatial\nkeep_ratio = 0.25\n"
+        )
+        runs = [
+            ("sub1", ["subsample", "--seed", "5", "--config", cfg, "--out", "first"]),
+            ("gen", ["gen", "width=16", "height=16", "t_end=0.3"]),
+            (
+                "sub2",
+                [
+                    "subsample", f"events={tmp_path / 'events.evt1'}",
+                    f"flow={tmp_path / 'flow.flo1'}", "mode=temporal",
+                ],
+            ),
+        ]
+        for name, argv in runs:
+            here, fresh = tmp_path / "here" / name, tmp_path / "fresh" / name
+            here.mkdir(parents=True)
+            fresh.mkdir(parents=True)
+            monkeypatch.chdir(here)
+            code, stdout, stderr = _run(capsys, *argv)
+            assert (code, stderr) == (0, "")
+            assert (code, stdout, stderr) == _fresh_cli(fresh, *argv)
+            # --out defaults to ./out unless given; nothing else is written.
+            assert sorted(p.name for p in here.iterdir()) == [
+                "first" if "--out" in argv else "out"
+            ]
+            (out,) = here.iterdir()
+            assert _dir_bytes(out) == _dir_bytes(fresh / out.name)
+
+
+class TestClosedStdout:
+    def test_eval_into_a_closed_pipe_exits_cleanly(self, tmp_path):
+        # The reader of stdout is gone before the summary is printed, as in
+        # `evmeshflow eval ... | head -0`: every artifact is written, the
+        # run exits 0 and prints no traceback.
+        rng = seeded_rng(29)
+        write_flo1(tmp_path / "gt.flo1", rng.normal(size=(8, 8, 2)))
+        write_flo1(tmp_path / "pred.flo1", rng.normal(size=(8, 8, 2)))
+        argv = ["eval", f"pred={tmp_path / 'pred.flo1'}", f"gt={tmp_path / 'gt.flo1'}"]
+        code, _, _ = _fresh_cli(tmp_path, *argv, "--out", tmp_path / "open")
+        assert code == 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, _, stderr = _fresh_cli(
+                tmp_path, *argv, "--out", tmp_path / "closed", stdout=write_end
+            )
+        finally:
+            os.close(write_end)
+        assert (code, stderr) == (0, "")
+        assert _dir_bytes(tmp_path / "closed") == _dir_bytes(tmp_path / "open")

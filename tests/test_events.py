@@ -873,3 +873,177 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         kept = stamps[np.floor(k * 0.5) > np.floor((k - 1) * 0.5)]
         temporal = temporal_guided_subsample(stream, flow, 0.5, tolerance=np.inf)
         assert np.array_equal(temporal.t, t[np.isin(t, kept)])
+
+
+def _spacing(subsample, keep_ratio):
+    """Seed lattice spacing of a subsampler: spatial's rule, or 1 (every pixel)."""
+    if subsample is spatial_guided_subsample:
+        return max(1, round(1.0 / np.sqrt(keep_ratio)))
+    return 1
+
+
+class TestTightSeedBox:
+    """The index box holds only seeds within the search radius, so exactness
+    rests on its slack for float rounding; these cases put distances on the
+    tolerance, where a box one rounding too tight drops an event."""
+
+    @_SUBSAMPLERS
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        width=st.integers(8, 40),
+        height=st.integers(8, 40),
+        count=st.integers(1, 60),
+        keep_ratio=st.floats(0.02, 0.4),
+        tolerance=st.sampled_from([0, 1, 2, 3, 5]),
+        uniform=st.booleans(),
+    )
+    def test_integer_distances_on_the_tolerance(
+        self, subsample, oracle, seed, width, height, count, keep_ratio, tolerance,
+        uniform,
+    ):
+        # Times are multiples of span / 4 and flows multiples of 4 px, so
+        # paths pass through pixels; each event sits an integer offset of
+        # norm tolerance (or just past it) from a seed's path.  A uniform
+        # flow has reach 0, so the radius is the tolerance plus the slack.
+        rng = seeded_rng(seed)
+        span = 16
+        if uniform:
+            flow = np.broadcast_to(4.0 * rng.integers(-3, 4, size=2), (height, width, 2))
+        else:
+            flow = 4.0 * rng.integers(-3, 4, size=(height, width, 2))
+        spacing = _spacing(subsample, keep_ratio)
+        t = np.sort(rng.integers(0, 5, size=count) * 4)
+        ux = spacing * rng.integers(0, (width - 1) // spacing + 1, size=count)
+        uy = spacing * rng.integers(0, (height - 1) // spacing + 1, size=count)
+        steps = np.array(
+            [(1, 0), (0, 1), (-1, 0), (0, -1), (0.6, 0.8), (-0.8, 0.6), (1.2, 0), (1, 1)]
+        )
+        step = np.rint(tolerance * steps[rng.integers(0, len(steps), size=count)])
+        k = t // 4
+        x = ux + k * flow[uy, ux, 0] // 4 + step[:, 0]
+        y = uy + k * flow[uy, ux, 1] // 4 + step[:, 1]
+        stream = EventStream(
+            np.clip(x, 0, width - 1).astype(np.int64),
+            np.clip(y, 0, height - 1).astype(np.int64),
+            t, rng.choice([-1, 1], size=count), width, height, 0, span,
+        )
+        if subsample is temporal_guided_subsample:
+            keep_ratio = 1.0 - keep_ratio
+        want = stream.select(oracle(stream, flow, keep_ratio, float(tolerance)))
+        got = subsample(stream, flow, keep_ratio, float(tolerance))
+        for field in ("x", "y", "t", "p"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    @_SUBSAMPLERS
+    def test_wide_sensor_far_edge_needs_the_slack(self, subsample, oracle):
+        # A uniform flow (m, 0) and a seed at U put an event at the stream's
+        # end (s = 1) at E = U + m + 0.25 + d on a 0.25 px tolerance, where d
+        # is half the float spacing at E.  The distance test rounds U + m to
+        # E - 0.25 (a tie, to even) and accepts the pair; the box computes
+        # q = E - m = U + 0.25 + d exactly, one finer binade down, so a box
+        # without slack starts one seed past U and drops the event.  Spatial
+        # runs on a 2**20 x 2 sensor with seeds every 2**15 px; temporal,
+        # whose brute force visits every pixel, on a 2**14 x 2 sensor.
+        if subsample is spatial_guided_subsample:
+            width, keep_ratio = 2**20, 2.0**-30
+        else:
+            width, keep_ratio = 2**14, 1.0
+        spacing = _spacing(subsample, keep_ratio)
+        seed_u = width // 2 - spacing
+        half = float(np.spacing(width / 2)) / 2
+        m = width / 2 - 1.25 - half
+        edge = seed_u + width // 2 - 1
+        rng = seeded_rng(61)
+        span = 1000
+        x = np.concatenate([[edge - 1, edge, edge + 1], rng.integers(0, width, 20)])
+        t = np.concatenate([[span] * 3, rng.integers(0, span + 1, 20)])
+        order = np.argsort(t, kind="stable")
+        stream = EventStream(
+            x[order], np.zeros(23, np.int64), t[order], np.ones(23, np.int64),
+            width, 2, 0, span,
+        )
+        flow = np.zeros((2, width, 2))
+        flow[..., 0] = m
+        want = oracle(stream, flow, keep_ratio, 0.25)
+        # The boundary event is kept, and by the seed at U alone.
+        assert want[order == 1].all()
+        got = subsample(stream, flow, keep_ratio, 0.25)
+        for field in ("x", "y", "t", "p"):
+            assert np.array_equal(getattr(got, field), getattr(stream.select(want), field))
+
+    @_SUBSAMPLERS
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "varied"])
+    def test_box_holds_no_index_beyond_its_radius(
+        self, subsample, oracle, uniform, monkeypatch
+    ):
+        # Every index in a box lies within the radius r + slack of its query
+        # point, and the slack is positive and below 1e-9 px at this size.
+        rng = seeded_rng(67, int(uniform))
+        width, height, span, count, tolerance = 40, 30, 21, 200, 1.5
+        flow = rng.normal(0.0, 3.0, size=(height, width, 2)) + (5.0, -2.0)
+        if uniform:
+            flow = np.broadcast_to(flow[0, 0], flow.shape)
+        t = np.sort(rng.integers(0, span + 1, size=count))
+        stream = EventStream(
+            rng.integers(0, width, count), rng.integers(0, height, count), t,
+            rng.choice([-1, 1], count), width, height, 0, span,
+        )
+        keep_ratio = 0.1 if subsample is spatial_guided_subsample else 1.0
+        spacing = _spacing(subsample, keep_ratio)
+        lattice = flow[::spacing, ::spacing].reshape(-1, 2)
+        centre = 0.5 * lattice.max(axis=0) + 0.5 * lattice.min(axis=0)
+        reach = np.hypot(*(lattice - centre).T).max()
+        s = t / span
+        boxes = []
+        box = events_module._lattice_box
+
+        def recording(q, r, step, n):
+            first, size = box(q, r, step, n)
+            boxes.append((q, r, step, n, first, size))
+            return first, size
+
+        monkeypatch.setattr(events_module, "_lattice_box", recording)
+        subsample(stream, flow, keep_ratio, tolerance)
+        assert len(boxes) == 2  # one per axis
+        for q, r, step, n, first, size in boxes:
+            assert step == spacing
+            slack = r - (tolerance + s * reach)
+            assert np.all(slack > 0) and np.all(slack < 1e-9)
+            for qe, re, fe, se in zip(q, r, first, size):
+                inside = (fe + np.arange(se)) * step
+                assert np.all(np.abs(inside - qe) <= re)
+                # The indices next to the box, where on the lattice, lie beyond r.
+                for i in (fe - 1, fe + se):
+                    if 0 <= i < n:
+                        assert abs(i * step - qe) > re
+
+
+class TestEventBudget:
+    # Log levels per pixel and c = 0.5: pixel A counts floor(|lb - ref| / c)
+    # = 2, 3, 2 events over the three intervals (ref 0 -> 1.0 -> 2.5 -> 3.5);
+    # pixel B is no candidate in the first and third and counts 1 in the
+    # second (ref 0 -> -0.5).  The running totals are 2, 6 and 8.
+    _LEVELS = [(0.0, 0.0), (1.2, -0.3), (2.7, -0.6), (3.9, -0.9)]
+
+    @pytest.mark.parametrize(
+        "budget, frames_read", [(1, 2), (2, 3), (5, 3), (6, 4), (7, 4), (8, None)]
+    )
+    def test_budget_fails_at_the_interval_that_passes_it(
+        self, monkeypatch, budget, frames_read
+    ):
+        monkeypatch.setattr(events_module, "_EVENT_BUDGET", budget)
+        read = []
+
+        def frames():
+            for k, levels in enumerate(self._LEVELS):
+                read.append(k)
+                yield float(k), np.exp(np.array([levels]))
+
+        if frames_read is None:
+            streams = multi_density_sweep(frames(), [0.5, 5.0])
+            assert [len(s) for s in streams] == [8, 0]
+        else:
+            with pytest.raises(StepLimitError, match=f"threshold 0.5 would emit over {budget}"):
+                multi_density_sweep(frames(), [0.5, 5.0])
+            assert len(read) == frames_read

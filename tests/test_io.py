@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evmeshflow.io
 from evmeshflow import (
     DataError,
     EventStream,
@@ -39,6 +40,10 @@ def _stream(n=20, width=32, height=24, seed=0):
         int(t.min()),
         int(t.max()),
     )
+
+
+def _stream_tuples(stream):
+    return list(zip(stream.x.tolist(), stream.y.tolist(), stream.t.tolist(), stream.p.tolist()))
 
 
 class TestEvt1:
@@ -113,6 +118,27 @@ class TestEvt1:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=message):
             read_evt1(path)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 9])
+    def test_chunked_records_match_the_layout(self, tmp_path, monkeypatch, n):
+        # Chunks of 3 events: whole chunks, a partial last chunk, and none at
+        # all for the empty stream each give the header and one packed
+        # 16-byte record per event, padding zeroed.
+        monkeypatch.setattr(evmeshflow.io, "_EVT1_CHUNK", 3)
+        if n:
+            stream = _stream(n, seed=n)
+        else:
+            empty = np.empty(0, dtype=np.int64)
+            stream = EventStream(empty, empty, empty, empty, 32, 24, 0, 10)
+        path = tmp_path / "chunked.evt1"
+        write_evt1(path, stream)
+        records = zip(stream.x, stream.y, stream.t, stream.p)
+        want = struct.pack("<4sHHQ", b"EVT1", 32, 24, n) + b"".join(
+            struct.pack("<HHqb3x", *map(int, record)) for record in records
+        )
+        assert path.read_bytes() == want
+        back = read_evt1(path)
+        assert _stream_tuples(back) == _stream_tuples(stream)
 
     @pytest.mark.parametrize("width, height", [(70000, 8), (8, 65536)])
     def test_oversize_sensor_rejected_before_writing(self, tmp_path, width, height):
