@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _check_flow, _check_int, _check_stack
-from .sampling import bilinear_sample
+from .sampling import _pixel_axes, bilinear_sample
 
 # Bytes of both feature stacks that one row tile of correlate spans.  On a
 # 2-vCPU Xeon with 4 MiB L2 per core, C = 32 at 256x256, r = 4 took 153, 135,
@@ -97,7 +97,6 @@ def warp_features(features: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Backward-warp every channel by the flow, clamping at the borders."""
     features = _check_stack(features, "features")
     flow = _check_flow(flow, size=features.shape[1:])
-    height, width = features.shape[1:]
-    gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
-    return bilinear_sample(features, gx + flow[..., 0], gy + flow[..., 1])
+    ys, xs = _pixel_axes(*features.shape[1:])
+    return bilinear_sample(features, xs + flow[..., 0], ys + flow[..., 1])
 

@@ -381,6 +381,7 @@ def _lattice_box(q, r, spacing, n):
     return first, np.maximum(last - first + 1, 0)
 
 
+@np.errstate(over="ignore")
 def _near_seed_paths(stream, flow, spacing, tolerance, candidates):
     """Mask of the candidates within `tolerance` px of a seed path u + s * flow(u).
 
@@ -393,7 +394,11 @@ def _near_seed_paths(stream, flow, spacing, tolerance, candidates):
     clipped to the lattice, once r is widened by `_lattice_box`'s slack
     against float rounding: index arithmetic, with no spatial tree and no
     scipy.  The exact distance test then decides on the seeds of each box
-    alone.
+    alone.  Seed flows near the float limit overflow to inf, which is why
+    overflow does not warn here: an infinite radius spans the lattice and an
+    infinite distance fails the test, as the exact values would.  `reach` is
+    capped at the largest float, which still bounds every component's
+    deviation, so that s = 0 times it is 0 and not NaN.
     """
     if np.isinf(tolerance):
         # Finite flow puts every candidate within reach of some seed.
@@ -403,7 +408,7 @@ def _near_seed_paths(stream, flow, spacing, tolerance, candidates):
     flow_x, flow_y = lattice.transpose(2, 0, 1).reshape(2, -1)
     centre_x = 0.5 * flow_x.max() + 0.5 * flow_x.min()
     centre_y = 0.5 * flow_y.max() + 0.5 * flow_y.min()
-    reach = np.hypot(flow_x - centre_x, flow_y - centre_y).max()
+    reach = min(np.hypot(flow_x - centre_x, flow_y - centre_y).max(), np.finfo(np.float64).max)
 
     keep = np.zeros(len(stream), dtype=bool)
     idx = np.nonzero(candidates)[0]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
 from .errors import _check_flow, _check_image, _check_int, _check_stack
-from .sampling import _sample_channels_last
+from .sampling import _pixel_axes, _sample_channels_last
 from .voxel import density
 
 DEFAULT_ALPHA = 0.6
@@ -86,11 +86,8 @@ def cdc_fuse(
         raise ParameterError("alpha must lie in [0, 1]")
     flow_bar = _check_flow(flow_bar)
     delta = _check_flow(delta, "delta", flow_bar.shape[:2])
-    height, width = flow_bar.shape[:2]
-    gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
-    sx = gx + delta[..., 0]
-    sy = gy + delta[..., 1]
-    corrected = _sample_channels_last(flow_bar, sx, sy)
+    ys, xs = _pixel_axes(*flow_bar.shape[:2])
+    corrected = _sample_channels_last(flow_bar, xs + delta[..., 0], ys + delta[..., 1])
     return alpha * corrected + (1.0 - alpha) * attention.apply(flow_bar)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, _check_flow, _check_image, _check_int, _check_mesh
-from .sampling import _sample_channels_last, bilinear_sample
+from .sampling import _pixel_axes, _sample_channels_last, bilinear_sample
 
 
 @dataclass(frozen=True)
@@ -154,13 +154,13 @@ def backward_warp(image: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Sample image at u + flow(u) for every pixel u, clamping at edges."""
     image = _check_image(image)
     flow = _check_flow(flow, size=image.shape)
-    height, width = image.shape
-    gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
-    return bilinear_sample(image, gx + flow[..., 0], gy + flow[..., 1])
+    ys, xs = _pixel_axes(*image.shape)
+    return bilinear_sample(image, xs + flow[..., 0], ys + flow[..., 1])
 
 
 def alignment_error(reference: np.ndarray, candidate: np.ndarray) -> float:
     """Mean absolute intensity difference between two images."""
     reference = _check_image(reference, "reference")
     candidate = _check_image(candidate, "candidate", reference.shape)
-    return float(np.mean(np.abs(reference - candidate)))
+    diff = reference - candidate
+    return float(np.mean(np.abs(diff, out=diff)))

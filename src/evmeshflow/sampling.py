@@ -1,8 +1,105 @@
-"""The one bilinear sampler, shared by scene rendering, warping and fusion."""
+"""The one bilinear sampler, shared by scene rendering, warping and fusion.
+
+`bilinear_sample` and `_sample_channels_last` fill their output planes
+through `_sample_planes`, which walks the broadcast shape of the positions
+along its first axis in blocks of about `_TILE` samples (a call of at most
+`_TILE` samples is one block).  Each position array keeps its own shape
+inside a block, so (H, 1) and (1, W) axes are never expanded to (H, W).
+Per block the positions are clipped to the grid, the corner index
+row0 * W + col0 is formed once and stepped by (col0 < W - 1) and
+W * (row0 < H - 1), and every plane receives its four corners in the order
+v00*gx*gy, v01*fx*gy, v10*gx*fy, v11*fx*fy: each corner is gathered,
+multiplied by its x weight and then its y weight, and added into the plane.
+Every temporary is block-sized and stays in cache.
+
+The bytes are those of the whole-array form.  Each output sample depends
+only on its own positions and takes the same float operations in the same
+order whatever the block it falls in.  On clipped positions, truncation to
+int64 is floor; fx = x - int64(x0) is the same subtraction; and stepping the
+index adds the same integers as min(x0 + 1, W - 1) and min(y0 + 1, H - 1).
+"""
 
 import numpy as np
 
 from .errors import ShapeError
+
+# Samples per block.  On a 2-vCPU Xeon with 2 MiB L2 per core, at 256x256,
+# medians of 9 rounds at 2**12, 2**13, 2**14, 2**15 and 2**16 samples:
+# one dense C = 1 call 1.54, 1.28, 1.24, 1.37 and 1.72 ms; one C = 32 call
+# 21.4, 22.0, 19.0, 22.0 and 23.8 ms; upsample_bilinear 2.38, 1.98, 1.73,
+# 1.90 and 1.97 ms; an affine render 2.31, 1.98, 1.97, 2.36 and 2.42 ms.
+_TILE = 2**14
+
+
+def _pixel_axes(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel coordinates as (H, 1) rows and (1, W) columns that broadcast to (H, W)."""
+    ys = np.arange(height, dtype=np.float64)[:, None]
+    xs = np.arange(width, dtype=np.float64)[None, :]
+    return ys, xs
+
+
+def _sample_planes(vals: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """Sample each (H, W) plane of vals into the matching plane of out.
+
+    out is (C,) + broadcast(x, y) and may be a strided view.  A NaN
+    position warns in the int64 cast.
+    """
+    _, height, width = vals.shape
+    # One copy for a strided (channels-last) view, so that np.take does
+    # not copy each plane again for every corner.
+    flat = np.ascontiguousarray(vals.reshape(vals.shape[0], -1))
+    if out.ndim == 1:
+        out = out[:, None]
+    shape = out.shape[1:]
+    x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
+    y = y.reshape((1,) * (len(shape) - y.ndim) + y.shape)
+    inner = int(np.prod(shape[1:]))
+    rows = max(1, _TILE // max(inner, 1))
+    size = min(rows, shape[0]) * inner
+    term = np.empty(size)
+    corners = np.empty((4, size), dtype=np.int64)
+    for lo in range(0, shape[0], rows):
+        hi = min(lo + rows, shape[0])
+        block = (hi - lo,) + shape[1:]
+        n = (hi - lo) * inner
+        _sample_block(
+            flat, height, width,
+            x if len(x) == 1 else x[lo:hi], y if len(y) == 1 else y[lo:hi], out[:, lo:hi],
+            term[:n].reshape(block), corners[:, :n].reshape((4,) + block),
+        )
+
+
+def _sample_block(flat, height, width, x, y, out, term, corners):
+    """One block of _sample_planes; its temporaries die before the next block's."""
+    fx = np.clip(x, 0.0, width - 1.0)
+    fy = np.clip(y, 0.0, height - 1.0)
+    col0 = fx.astype(np.int64)
+    row0 = fy.astype(np.int64)
+    np.subtract(fx, col0, out=fx)
+    np.subtract(fy, row0, out=fy)
+    gx, gy = 1.0 - fx, 1.0 - fy
+    i00, i01, i10, i11 = corners
+    step_y = (row0 < height - 1) * width
+    row0 *= width
+    np.add(row0, col0, out=i00)
+    np.add(i00, col0 < width - 1, out=i01)
+    np.add(i00, step_y, out=i10)
+    np.add(i01, step_y, out=i11)
+
+    # Plane by plane, each corner is gathered and weighted in place in term
+    # and added into the output plane, while the plane stays in cache.
+    # Finite positions give indices in range, so mode="clip" changes no
+    # value; it only keeps np.take from buffering.
+    weights = ((gx, gy), (fx, gy), (gx, fy), (fx, fy))
+    for plane, dst in zip(flat, out):
+        for k, (idx, (wx, wy)) in enumerate(zip(corners, weights)):
+            np.take(plane, idx, out=term, mode="clip")
+            term *= wx
+            if k:
+                term *= wy
+                dst += term
+            else:
+                np.multiply(term, wy, out=dst)
 
 
 def bilinear_sample(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -26,47 +123,9 @@ def bilinear_sample(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
         squeeze = False
     else:
         raise ShapeError(f"expected (H, W) or (C, H, W) values, got {values.shape}")
-    _, height, width = vals.shape
-
-    x = np.clip(np.asarray(x, dtype=np.float64), 0.0, width - 1.0)
-    y = np.clip(np.asarray(y, dtype=np.float64), 0.0, height - 1.0)
-
-    x0 = np.floor(x).astype(np.int64)
-    y0 = np.floor(y).astype(np.int64)
-    x1 = np.minimum(x0 + 1, width - 1)
-    y1 = np.minimum(y0 + 1, height - 1)
-    fx, fy = x - x0, y - y0
-    gx, gy = 1.0 - fx, 1.0 - fy
-    row0, row1 = y0 * width, y1 * width
-    # One copy for a strided (channels-last) view, so that np.take does
-    # not copy each plane again for every corner.
-    flat = np.ascontiguousarray(vals.reshape(vals.shape[0], -1))
-
-    # Corner by corner, each plane is gathered and weighted in place in
-    # one reused buffer and added into its output plane, so per sample the
-    # terms add up left to right as v00*gx*gy + v01*fx*gy + v10*gx*fy +
-    # v11*fx*fy and no (C, ...) temporaries are built.  Finite positions
-    # give indices in range, so mode="clip" changes no value; it only keeps
-    # np.take from buffering.  A NaN position warns in the int64 cast.
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    out = np.empty((flat.shape[0],) + shape)
-    term = np.empty(shape)
-    idx = np.empty(shape, dtype=np.int64)
-    corners = (
-        (row0, x0, gx, gy),
-        (row0, x1, fx, gy),
-        (row1, x0, gx, fy),
-        (row1, x1, fx, fy),
-    )
-    for k, (row, col, wx, wy) in enumerate(corners):
-        np.add(row, col, out=idx)
-        for c, plane in enumerate(flat):
-            dst = term if k else out[c, ...]
-            np.take(plane, idx, out=dst, mode="clip")
-            dst *= wx
-            dst *= wy
-            if k:
-                out[c, ...] += term
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    out = np.empty((vals.shape[0],) + np.broadcast_shapes(x.shape, y.shape))
+    _sample_planes(vals, x, y, out)
     return out[0] if squeeze else out
 
 
@@ -76,5 +135,8 @@ def _sample_channels_last(field: np.ndarray, x: np.ndarray, y: np.ndarray) -> np
     Returns a C-contiguous array of shape broadcast(x, y) + (C,), equal
     byte for byte to stacking one bilinear_sample per channel.
     """
-    out = bilinear_sample(np.moveaxis(field, -1, 0), x, y)
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    field = np.asarray(field, dtype=np.float64)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape) + field.shape[-1:])
+    _sample_planes(np.moveaxis(field, -1, 0), x, y, np.moveaxis(out, -1, 0))
+    return out

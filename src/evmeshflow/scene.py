@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DataError, ParameterError, RangeError, StepLimitError, _check_int
-from .sampling import bilinear_sample
+from .sampling import _pixel_axes, bilinear_sample
 
 _OCTAVE_SIZES = (4, 8, 16, 32)
 _OCTAVE_GAINS = (1.0, 0.5, 0.25, 0.125)
@@ -136,13 +136,6 @@ class Scene:
             )
 
 
-def _pixel_axes(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel coordinates as (H, 1) rows and (1, W) columns that broadcast to (H, W)."""
-    ys = np.arange(height, dtype=np.float64)[:, None]
-    xs = np.arange(width, dtype=np.float64)[None, :]
-    return ys, xs
-
-
 def _wrap_pad(grid: np.ndarray) -> np.ndarray:
     """An (H, W) periodic grid followed by its first _WRAP_PAD rows and columns."""
     return np.pad(grid, ((0, _WRAP_PAD), (0, _WRAP_PAD)), mode="wrap")
@@ -194,12 +187,15 @@ def _texture(seed: int, height: int, width: int) -> np.ndarray:
 
 def _project(m: np.ndarray, xs: np.ndarray, ys: np.ndarray, doing: str):
     """Apply the 3x3 homogeneous map m to the points (xs, ys)."""
-    w0 = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
-    w1 = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
-    w2 = m[2, 0] * xs + m[2, 1] * ys + m[2, 2]
+    w0, w1, w2 = (m[k, 0] * xs + m[k, 1] * ys for k in range(3))
+    w0 += m[0, 2]
+    w1 += m[1, 2]
+    w2 += m[2, 2]
     if not np.all(np.isfinite(w2)) or np.any(w2 <= 0.0):
         raise DataError(f"projective depth vanished while {doing} the motion")
-    return w0 / w2, w1 / w2
+    w0 /= w2
+    w1 /= w2
+    return w0, w1
 
 
 def _source_coords(scene: Scene, t: float, xs: np.ndarray, ys: np.ndarray):
@@ -240,14 +236,17 @@ def flow_at_points(
         )
     m = _matrix_at(scene.motion, t_j) @ np.linalg.inv(_matrix_at(scene.motion, t_i))
     px, py = _project(m, xs, ys, "composing")
-    return px - xs, py - ys
+    px -= xs
+    py -= ys
+    return px, py
 
 
 def flow_between(scene: Scene, t_i: float, t_j: float) -> np.ndarray:
     """Dense ground-truth flow field, shape (H, W, 2) with (u, v) last."""
-    ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
-    fx, fy = flow_at_points(scene, t_i, t_j, xs, ys)
-    return np.stack([fx, fy], axis=-1)
+    ys, xs = _pixel_axes(scene.height, scene.width)
+    flow = np.empty((scene.height, scene.width, 2))
+    flow[..., 0], flow[..., 1] = flow_at_points(scene, t_i, t_j, xs, ys)
+    return flow
 
 
 def _velocity_at_points(
@@ -276,7 +275,7 @@ def _audit_points(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     flows are not affine in the position, so those scenes audit every pixel.
     """
     if scene.motion.kind == "homography":
-        ys, xs = np.mgrid[0 : scene.height, 0 : scene.width].astype(np.float64)
+        ys, xs = _pixel_axes(scene.height, scene.width)
         return xs, ys
     right, bottom = scene.width - 1.0, scene.height - 1.0
     return np.array([0.0, right, 0.0, right]), np.array([0.0, 0.0, bottom, bottom])

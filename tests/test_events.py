@@ -973,6 +973,24 @@ class TestTightSeedBox:
             assert np.array_equal(getattr(got, field), getattr(stream.select(want), field))
 
     @_SUBSAMPLERS
+    def test_seed_flows_at_the_float_limit(self, subsample, oracle):
+        # Finite flows of +-1.7e308 overflow the reach, the box bounds and
+        # the squared distances to inf; with an uncapped reach the event at
+        # s = 0 would get a NaN radius (0 * inf) and an index of -2**63.
+        flow = np.zeros((8, 8, 2))
+        flow[0, 0] = 1.7e308
+        flow[1, 1] = -1.7e308
+        stream = EventStream(
+            np.array([1, 2, 3]), np.array([1, 2, 3]), np.array([0, 5, 10]),
+            np.array([1, -1, 1]), 8, 8, 0, 10,
+        )
+        for keep_ratio in (0.25, 0.5, 1.0):
+            want = stream.select(oracle(stream, flow, keep_ratio, 0.5))
+            got = subsample(stream, flow, keep_ratio, 0.5)
+            for field in ("x", "y", "t", "p"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    @_SUBSAMPLERS
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "varied"])
     def test_box_holds_no_index_beyond_its_radius(
         self, subsample, oracle, uniform, monkeypatch

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +15,8 @@ from evmeshflow import (
     seeded_rng,
     upsample_flow_bilinear,
 )
-from evmeshflow.sampling import bilinear_sample
+from evmeshflow import sampling
+from evmeshflow.sampling import _pixel_axes, _sample_channels_last, bilinear_sample
 from evmeshflow.scene import _sample_torus, _wrap_pad
 
 
@@ -89,17 +93,19 @@ def _grid_and_positions(draw):
         )
     )
 
-    def coord(size):
-        return st.one_of(
-            st.integers(-2 * size, 2 * size).map(float),
-            st.sampled_from([size - 1.0, size - 0.5, -0.5, -1e-9, size - 1e-12]),
-            st.floats(-3.0 * size, 3.0 * size, allow_nan=False),
-        )
-
     n = draw(st.integers(1, 30))
-    xs = draw(st.lists(coord(width), min_size=n, max_size=n))
-    ys = draw(st.lists(coord(height), min_size=n, max_size=n))
+    xs = draw(st.lists(_coord(width), min_size=n, max_size=n))
+    ys = draw(st.lists(_coord(height), min_size=n, max_size=n))
     return np.array(values).reshape(height, width), np.array(xs), np.array(ys)
+
+
+def _coord(size):
+    """Positions on, at the edge of and off an axis of `size` pixels."""
+    return st.one_of(
+        st.integers(-2 * size, 2 * size).map(float),
+        st.sampled_from([size - 1.0, size - 0.5, -0.5, -1e-9, -0.0, size - 1e-12]),
+        st.floats(-3.0 * size, 3.0 * size, allow_nan=False),
+    )
 
 
 @pytest.mark.parametrize("wrap", [False, True], ids=["clamped", "wrapped"])
@@ -116,3 +122,84 @@ def test_matches_scalar_oracle_bytes(wrap, case):
     else:
         out = bilinear_sample(values, xs, ys)
     assert out.tobytes() == scalar_bilinear_sample(values, xs, ys, wrap).tobytes()
+
+
+# (x shape, y shape) per position layout; h and w are drawn per case.
+_LAYOUTS = {
+    "flat": lambda h, w: ((h * w,), (h * w,)),
+    "dense": lambda h, w: ((h, w), (h, w)),
+    "rows-cols": lambda h, w: ((h, 1), (1, w)),
+    "cols-rows": lambda h, w: ((1, w), (h, 1)),
+    "one-row": lambda h, w: ((1, w), (1, 1)),
+    "0-d": lambda h, w: ((), ()),
+    "empty-rows": lambda h, w: ((0, w), (1, w)),
+    "empty-cols": lambda h, w: ((h, 0), (h, 1)),
+}
+
+
+@st.composite
+def _stack_and_layout(draw):
+    """A (C, H, W) stack, C = 1 or 3, and positions in one of _LAYOUTS."""
+    channels = draw(st.sampled_from([1, 3]))
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    size = channels * height * width
+    values = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=size, max_size=size))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    x_shape, y_shape = _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))](h, w)
+
+    def positions(shape, axis_size):
+        count = int(np.prod(shape))
+        drawn = draw(st.lists(_coord(axis_size), min_size=count, max_size=count))
+        return np.array(drawn, dtype=np.float64).reshape(shape)
+
+    values = np.array(values).reshape(channels, height, width)
+    return values, positions(x_shape, width), positions(y_shape, height)
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7])
+@settings(max_examples=100, deadline=None)
+@given(case=_stack_and_layout())
+# x = -0.0 gives fx = -0.0 - 0 = -0.0, which the sum of signed zeros shows;
+# floor(x) is -0.0, so x - floor(x) would give +0.0.
+@example(case=(np.array([[[-0.0, 1.0]]]), np.array([-0.0]), np.array([0.0])))
+# On the last column (row), the zero-weight neighbour is the sample itself;
+# reading the next cell instead would add +0.0 to -0.0.
+@example(case=(np.array([[[-0.0, -0.0], [1.0, -0.0]]]), np.array([1.0]), np.array([0.0])))
+@example(case=(np.array([[[-0.0, -0.0, -0.0], [-0.0, -0.0, 1.0]]]), np.array([0.0]), np.array([1.0])))
+def test_tiles_match_scalar_oracle_bytes(tile, case):
+    """Blocks of 1, 3 and 7 samples cross many block edges on small cases."""
+    values, x, y = case
+    xs, ys = np.broadcast_arrays(x, y)
+    want = np.stack(
+        [scalar_bilinear_sample(p, xs.ravel(), ys.ravel(), False).reshape(xs.shape) for p in values]
+    )
+    field = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+    with mock.patch.object(sampling, "_TILE", tile):
+        got = bilinear_sample(values, x, y)
+        plane = bilinear_sample(values[0], x, y)
+        last = _sample_channels_last(field, x, y)
+        per_channel = np.stack([bilinear_sample(field[..., c], x, y) for c in range(len(values))], -1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert plane.shape == want.shape[1:] and plane.tobytes() == want[0].tobytes()
+    assert last.flags.c_contiguous and last.shape == per_channel.shape
+    assert last.tobytes() == per_channel.tobytes()
+
+
+def test_dense_call_builds_no_full_size_temporaries():
+    """A dense 256x256 C = 1 call peaks below its output plus 2 MiB.
+
+    Whole-array temporaries (clipped positions, corner indices, weights,
+    the gathered term) would each add a 0.5 MiB output's worth.
+    """
+    rng = seeded_rng(5)
+    values = rng.random((256, 256))
+    ys, xs = _pixel_axes(256, 256)
+    x = xs + rng.uniform(-3.0, 3.0, (256, 256))
+    y = ys + rng.uniform(-3.0, 3.0, (256, 256))
+    tracemalloc.start()
+    try:
+        out = bilinear_sample(values, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2 * 2**20

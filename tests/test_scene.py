@@ -409,7 +409,7 @@ class TestAdaptiveAudit:
             real = getattr(scene_module, name)
 
             def spy(scene, *args, real=real):
-                sizes.append(np.size(args[-1]))
+                sizes.append(np.broadcast(*args[-2:]).size)
                 return real(scene, *args)
 
             monkeypatch.setattr(scene_module, name, spy)
