@@ -5,6 +5,14 @@ time; a motion-consistent stream collapses onto sharp edges in the
 resulting event-count image, which shows up as high variance.  Scoring a
 stream at both endpoints of its interval and summing the variances gives
 the two-sided objective used to rank candidate streams.
+
+Warping and splatting walk the events in `events._BLOCK`-sized blocks, so
+their temporaries are block-sized: `warp_events` allocates only its outputs,
+and `accumulate_iwe` only three event-sized arrays (each event's corner
+index and fractions) besides the image.  The splat adds corner by corner,
+each corner over the blocks in event order, which is the order of the
+whole-array form, so every pixel sums the same terms in the same order and
+the image's bytes do not depend on the block size.
 """
 
 import math
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, _check_flow, _check_image
-from .events import EventStream
+from .events import EventStream, _blocks
 
 
 @dataclass
@@ -21,7 +29,8 @@ class WarpedEvents:
     """Continuous event positions after transport to a reference time.
 
     Positions may leave the sensor; rasterizing discards the mass that
-    lands off it.
+    lands off it.  `warp_events` passes the stream's own polarity array as
+    `p`, without a copy.
     """
 
     xw: np.ndarray
@@ -50,16 +59,19 @@ def warp_events(
         raise ParameterError("warp times t_ref, t_i and t_j must be finite")
     if t_j == t_i:
         raise ParameterError("warp interval must have nonzero length")
-    factor = (t_ref - stream.t.astype(np.float64)) / float(t_j - t_i)
-    pix = stream.y.astype(np.int64) * stream.width + stream.x
-    fx, fy = np.take(flow.reshape(-1, 2), pix, axis=0).T
-    return WarpedEvents(
-        xw=stream.x + factor * fx,
-        yw=stream.y + factor * fy,
-        p=stream.p.copy(),
-        width=stream.width,
-        height=stream.height,
-    )
+    n = len(stream)
+    xw, yw = np.empty(n), np.empty(n)
+    flat = flow.reshape(-1, 2)
+    length = float(t_j - t_i)
+    for s in _blocks(n):
+        factor = (t_ref - stream.t[s].astype(np.float64)) / length
+        pix = stream.y[s].astype(np.int64) * stream.width + stream.x[s]
+        fx, fy = np.take(flat, pix, axis=0).T
+        np.multiply(factor, fx, out=xw[s])
+        xw[s] += stream.x[s]
+        np.multiply(factor, fy, out=yw[s])
+        yw[s] += stream.y[s]
+    return WarpedEvents(xw, yw, stream.p, stream.width, stream.height)
 
 
 def accumulate_iwe(warped: WarpedEvents) -> np.ndarray:
@@ -78,21 +90,24 @@ def accumulate_iwe(warped: WarpedEvents) -> np.ndarray:
     # and keeps the int64 cast defined for any finite position.
     stride = w + 2
     padded = np.zeros((h + 2) * stride)
-    fx = np.clip(warped.xw, -2, w + 1)
-    fy = np.clip(warped.yw, -2, h + 1)
-    x0 = np.floor(fx).astype(np.int64)
-    y0 = np.floor(fy).astype(np.int64)
-    fx -= x0
-    fy -= y0
-    inside = (x0 >= -1) & (x0 < w) & (y0 >= -1) & (y0 < h)
-    base = np.where(inside, (y0 + 1) * stride + (x0 + 1), w + 1)
-    # One weight array at a time, with the corner indices freed: at 1M
-    # events these event-sized temporaries set the `select` peak memory.
-    del x0, y0, inside
-    gx, gy = 1 - fx, 1 - fy
-    corners = ((0, gx, gy), (1, fx, gy), (stride, gx, fy), (stride + 1, fx, fy))
-    for offset, wx, wy in corners:
-        np.add.at(padded, base + offset, wx * wy)
+    n = len(warped.xw)
+    base = np.empty(n, dtype=np.int64)
+    fx, fy = np.empty(n), np.empty(n)
+    for s in _blocks(n):
+        np.clip(warped.xw[s], -2, w + 1, out=fx[s])
+        np.clip(warped.yw[s], -2, h + 1, out=fy[s])
+        x0 = np.floor(fx[s]).astype(np.int64)
+        y0 = np.floor(fy[s]).astype(np.int64)
+        fx[s] -= x0
+        fy[s] -= y0
+        inside = (x0 >= -1) & (x0 < w) & (y0 >= -1) & (y0 < h)
+        base[s] = np.where(inside, (y0 + 1) * stride + (x0 + 1), w + 1)
+    # Corner-major, and in event order within a corner: the whole-array add order.
+    for offset, right, below in ((0, 0, 0), (1, 1, 0), (stride, 0, 1), (stride + 1, 1, 1)):
+        for s in _blocks(n):
+            wx = fx[s] if right else 1 - fx[s]
+            wy = fy[s] if below else 1 - fy[s]
+            np.add.at(padded, base[s] + offset, wx * wy)
     return padded.reshape(h + 2, stride)[1:-1, 1:-1].copy()
 
 

@@ -16,6 +16,14 @@ is never built and memory does not grow with the frame count; `simulate`
 is its one-threshold case.
 The guided subsamplers find the seeds near each event by index arithmetic
 on the seed lattice and need no scipy.
+
+Every event-sized loop of the package (decoding sort keys here, voxels,
+warping and splatting in `cmax`, EVT1 records in `io`) walks the events in
+consecutive blocks of `_BLOCK` events from `_blocks`, so its temporaries are
+block-sized and stay in cache; a stream of at most one block is one block.
+Each event's result depends on that event alone, and every accumulation
+still adds its terms pass by pass in event order, so the bytes do not
+depend on the block size.
 """
 
 from dataclasses import dataclass, replace
@@ -27,12 +35,25 @@ from .errors import _check_flow, _check_image, _check_int
 from .scene import Scene, render_frame
 
 
+# Events per block of every event-sized loop: a block's float64 temporary
+# is 128 KiB.
+_BLOCK = 2**14
+
+
+def _blocks(n: int):
+    """Yield the consecutive slices of range(n) of `_BLOCK` events each, the last shorter."""
+    for lo in range(0, n, _BLOCK):
+        yield slice(lo, min(lo + _BLOCK, n))
+
+
 @dataclass
 class EventStream:
     """A time-sorted batch of events on a fixed sensor.
 
     Events are stored as parallel arrays (x, y, t, p); t is integer
     microseconds, p is -1 or +1.  Ties in t are ordered by (y, x, p).
+    The span t_end - t_start is at most 2**63 - 1, so every difference of
+    two in-span times fits an int64.
     """
 
     x: np.ndarray
@@ -62,10 +83,15 @@ class EventStream:
         self.height = _check_int(self.height, "sensor dimensions (height)", 1, 2**31)
         self.t_start = _check_int(self.t_start, "t_start", int64.min, int64.max)
         self.t_end = _check_int(self.t_end, "t_end", int64.min, int64.max)
-        if n and np.any(t[1:] < t[:-1]):
+        # Block by block, so validation holds no event-sized temporary.
+        if any(np.any(t[s.start + 1 : s.stop + 1] < t[s]) for s in _blocks(n - 1)):
             raise DataError("events must be sorted by timestamp")
         if self.t_end < self.t_start:
             raise DataError("stream requires t_start <= t_end")
+        if self.t_end - self.t_start > int64.max:
+            raise DataError(
+                f"stream span {self.t_end - self.t_start} us exceeds 2**63 - 1"
+            )
         if n:
             if t[0] < self.t_start or t[-1] > self.t_end:
                 raise DataError("event timestamps outside [t_start, t_end]")
@@ -76,7 +102,7 @@ class EventStream:
                 or y.max() >= self.height
             ):
                 raise DataError("event coordinates outside the sensor")
-            if not np.all(np.abs(p) == 1):
+            if not all(np.all(np.abs(p[s]) == 1) for s in _blocks(n)):
                 raise DataError("polarities must be -1 or +1")
         self.x = x.astype(np.int32, copy=False)
         self.y = y.astype(np.int32, copy=False)
@@ -120,7 +146,12 @@ def _event_keys(t, pix, p, plane, t_start):
 
 
 def _sorted_events(key, width, height, t_start, t_end):
-    """Sort event keys in place and decode them to (x, y, t, p) arrays.
+    """Sort event keys in place and decode them to int32 x and y, int64 t and int8 p.
+
+    The keys are decoded block by block straight into the stream's dtypes,
+    so no step allocates more than the outputs and block-sized temporaries.
+    A quotient and a subtraction give the remainder: int64 `np.divmod` by a
+    scalar costs several times a floor division.
 
     Raises ParameterError when keys over [t_start, t_end] overflow int64,
     (t_end - t_start + 1) * 2 * H * W > 2**63 - 1; such keys have wrapped,
@@ -133,9 +164,19 @@ def _sorted_events(key, width, height, t_start, t_end):
             "overflows the int64 event sort key"
         )
     key.sort()
-    dt, pix = np.divmod(key >> 1, plane)
-    y, x = np.divmod(pix, width)
-    return x, y, dt + t_start, (key & 1).astype(np.int8) * 2 - 1
+    n = len(key)
+    x, y = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+    t, p = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int8)
+    for s in _blocks(n):
+        pix = key[s] >> 1
+        dt = pix // plane
+        pix -= dt * plane
+        t[s] = dt + t_start
+        row = pix // width
+        y[s] = row
+        x[s] = pix - row * width
+        p[s] = (key[s] & 1) * 2 - 1
+    return x, y, t, p
 
 
 # Events one threshold of a sweep may emit: 66x the 1,009,082 events of a
@@ -289,11 +330,13 @@ def multi_density_sweep(frames, thresholds) -> list[EventStream]:
     height, width = shape
     t_end = int(_us(ta))
     streams = []
-    for parts in keys:
+    for j, parts in enumerate(keys):
         if parts:
-            x, y, t, p = _sorted_events(
-                np.concatenate(parts), width, height, t_start, t_end
-            )
+            key = np.concatenate(parts)
+            # Release the parts before the decode allocates the stream.
+            keys[j] = parts = None
+            x, y, t, p = _sorted_events(key, width, height, t_start, t_end)
+            del key
         else:
             x = y = t = p = np.empty(0, dtype=np.int64)
         streams.append(EventStream(x, y, t, p, width, height, t_start, t_end))

@@ -4,10 +4,16 @@ All multi-byte fields are little-endian except inside PGM/PPM payloads,
 which follow the netpbm convention (16-bit samples most significant byte
 first).  Readers validate magics and sizes and raise FormatError on
 malformed input rather than guessing.
+
+EVT1 records are written and read in blocks of `events._BLOCK` events
+through one reused record buffer, so neither direction builds an (N,)
+record array or holds the file's bytes; a record's fields depend on that
+record alone, so the bytes do not depend on the block size.
 """
 
 import csv
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -15,7 +21,8 @@ import numpy as np
 
 from .errors import DataError, FormatError, ParameterError, ShapeError
 from .errors import _check_flow, _check_image, _check_mesh
-from .events import EventStream
+from . import events
+from .events import EventStream, _blocks
 
 _EVT1_HEADER = struct.Struct("<4sHHQ")
 _EVT1_MAX_SIDE = 65535  # width, height and coordinates are stored as uint16
@@ -30,54 +37,54 @@ _EVT1_RECORD = np.dtype(
 _F32_HEADER = struct.Struct("<4s2I")  # magic, then two uint32 dims
 
 
-# Events per record chunk that write_evt1 fills and writes at a time.
-_EVT1_CHUNK = 2**16
-
-
 def write_evt1(path, stream: EventStream) -> None:
-    """Write an event stream: 16-byte header, then 16-byte event records.
-
-    The records go out in chunks of _EVT1_CHUNK events through one reused
-    buffer, so no (N,) record array is built.
-    """
+    """Write an event stream: 16-byte header, then 16-byte event records."""
     if stream.width > _EVT1_MAX_SIDE or stream.height > _EVT1_MAX_SIDE:
         raise ParameterError(
             f"EVT1 holds sensors up to {_EVT1_MAX_SIDE} px per side, "
             f"got {stream.width}x{stream.height}"
         )
     n = len(stream)
-    # Zeroed once: the fields are overwritten per chunk, the padding stays 0.
-    buffer = np.zeros(min(n, _EVT1_CHUNK), dtype=_EVT1_RECORD)
+    # Zeroed once: the fields are overwritten per block, the padding stays 0.
+    buffer = np.zeros(min(n, events._BLOCK), dtype=_EVT1_RECORD)
     with open(path, "wb") as fh:
         fh.write(_EVT1_HEADER.pack(b"EVT1", stream.width, stream.height, n))
-        for lo in range(0, n, _EVT1_CHUNK):
-            hi = min(lo + _EVT1_CHUNK, n)
-            records = buffer[: hi - lo]
+        for s in _blocks(n):
+            records = buffer[: s.stop - s.start]
             for name in ("x", "y", "t", "p"):
-                records[name] = getattr(stream, name)[lo:hi]
+                records[name] = getattr(stream, name)[s]
             fh.write(records)
 
 
 def read_evt1(path) -> EventStream:
-    blob = Path(path).read_bytes()
-    if len(blob) < _EVT1_HEADER.size:
-        raise FormatError("EVT1 file truncated before header")
-    magic, width, height, count = _EVT1_HEADER.unpack_from(blob)
-    if magic != b"EVT1":
-        raise FormatError(f"bad EVT1 magic {magic!r}")
-    body = blob[_EVT1_HEADER.size :]
-    if len(body) != count * _EVT1_RECORD.itemsize:
-        raise FormatError("EVT1 payload size does not match header count")
-    records = np.frombuffer(body, dtype=_EVT1_RECORD)
-    t = records["t"].astype(np.int64)
+    """Read a `write_evt1` file.
+
+    The payload size is checked against the header count from the file
+    size before anything is allocated; the records are then read block by
+    block into one reused buffer and copied into the stream's arrays.
+    """
+    with open(path, "rb") as fh:
+        header = fh.read(_EVT1_HEADER.size)
+        if len(header) < _EVT1_HEADER.size:
+            raise FormatError("EVT1 file truncated before header")
+        magic, width, height, count = _EVT1_HEADER.unpack(header)
+        if magic != b"EVT1":
+            raise FormatError(f"bad EVT1 magic {magic!r}")
+        payload = os.fstat(fh.fileno()).st_size - _EVT1_HEADER.size
+        if payload != count * _EVT1_RECORD.itemsize:
+            raise FormatError("EVT1 payload size does not match header count")
+        x, y = np.empty(count, dtype=np.int32), np.empty(count, dtype=np.int32)
+        t, p = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int8)
+        buffer = np.empty(min(count, events._BLOCK), dtype=_EVT1_RECORD)
+        for s in _blocks(count):
+            records = buffer[: s.stop - s.start]
+            # Short only if the file shrank since its size was checked.
+            if fh.readinto(records) != records.nbytes:
+                raise FormatError("EVT1 payload size does not match header count")
+            x[s], y[s], t[s], p[s] = records["x"], records["y"], records["t"], records["p"]
     try:
         return EventStream(
-            records["x"].astype(np.int32),
-            records["y"].astype(np.int32),
-            t,
-            records["p"].astype(np.int8),
-            width,
-            height,
+            x, y, t, p, width, height,
             int(t[0]) if count else 0,
             int(t[-1]) if count else 0,
         )
@@ -93,7 +100,7 @@ def _write_f32(path, magic: bytes, dims, values) -> None:
         raise DataError(f"{magic.decode()} values must be finite float32")
     with open(path, "wb") as fh:
         fh.write(_F32_HEADER.pack(magic, *dims))
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def _read_f32(path, magic: bytes, shape_of) -> np.ndarray:
@@ -148,7 +155,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     height, width = image.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n65535\n".encode("ascii"))
-        fh.write(scaled.tobytes())
+        fh.write(scaled)
 
 
 def read_pgm(path) -> np.ndarray:
@@ -180,7 +187,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     height, width = rgb.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(rgb, dtype=np.uint8).tobytes())
+        fh.write(np.ascontiguousarray(rgb, dtype=np.uint8))
 
 
 def _color_wheel() -> np.ndarray:

@@ -4,12 +4,18 @@ A stream is rasterized into B temporal bins with a triangular kernel: an
 event at normalized time s contributes p * max(0, 1 - |b - s*(B-1)|) to bin
 b at its pixel.  The kernel weights for one event always sum to 1, so the
 grid conserves total signed polarity.
+
+`voxelize` walks the events in `events._BLOCK`-sized blocks twice: the
+lower-bin terms of every block, then the upper-bin terms of every block.
+Each cell therefore receives its additions in the order of the whole-array
+form, all lower terms in event order and then all upper ones, and every
+term is the same float, so the grid's bytes do not depend on the block size.
 """
 
 import numpy as np
 
 from .errors import _check_int, _check_stack
-from .events import EventStream
+from .events import EventStream, _blocks
 
 
 def voxelize(stream: EventStream, bins: int = 5) -> np.ndarray:
@@ -28,21 +34,20 @@ def voxelize(stream: EventStream, bins: int = 5) -> np.ndarray:
     if n == 0:
         return grid[:bins]
     t0 = stream.t[0]
-    tn = stream.t[-1]
-    if tn > t0:
-        coord = (stream.t - t0) / float(tn - t0) * (bins - 1)
-    else:
-        coord = np.zeros(n)
-    b0 = np.floor(coord).astype(np.int64)
-    b0 = np.clip(b0, 0, bins - 1)
-    w1 = coord - b0
-    w0 = 1.0 - w1
-    pol = stream.p.astype(np.float64)
+    # When every event shares one time, each coord is 0 / 1.0 * (bins - 1) = +0.0.
+    span = float(stream.t[-1] - t0) or 1.0
     plane = stream.height * stream.width
     flat = grid.reshape(-1)
-    cell = b0 * plane + (stream.y.astype(np.int64) * stream.width + stream.x)
-    np.add.at(flat, cell, pol * w0)
-    np.add.at(flat, cell + plane, pol * w1)
+    for upper in (0, 1):
+        for s in _blocks(n):
+            coord = (stream.t[s] - t0) / span * (bins - 1)
+            b0 = np.clip(np.floor(coord).astype(np.int64), 0, bins - 1)
+            weight = coord - b0
+            if not upper:
+                weight = 1.0 - weight
+            weight *= stream.p[s]
+            pix = stream.y[s].astype(np.int64) * stream.width + stream.x[s]
+            np.add.at(flat, (b0 + upper) * plane + pix, weight)
     return grid[:bins]
 
 

@@ -292,7 +292,9 @@ def test_numpy_integer_count_accepted(call, valid):
 # to the stream's dtypes (int32 x and y, int64 t, int8 p) would wrap or
 # truncate: x = 2**32 + 1 would be pixel 1, t = 5.7 stamp 5, p = 257 and
 # 1.9 polarity +1.  A sensor wider than 2**31 px would let x = 2**31 + 5
-# wrap negative, and a span past int64 a uint64 t of 2**63 + 9.
+# wrap negative, and a span past int64 a uint64 t of 2**63 + 9.  Bounds
+# within int64 can still span more than 2**63 - 1 us, which would wrap the
+# differences t - t_start.
 _MISSTORED_EVENTS = {
     "x-wraps": ({"x": np.array([2**32 + 1])}, DataError),
     "y-wraps": ({"y": np.array([-(2**32) + 3])}, DataError),
@@ -307,6 +309,14 @@ _MISSTORED_EVENTS = {
     "t-past-int64-span": (
         {"t": np.array([2**63 + 9], np.uint64), "t_end": 2**64},
         ParameterError,
+    ),
+    "span-past-int64": (
+        {
+            "x": [1, 1], "y": [1, 1], "p": [1, 1],
+            "t": np.array([-(2**62) - 5, 2**62 + 5]),
+            "t_start": -(2**63), "t_end": 2**63 - 1,
+        },
+        DataError,
     ),
 }
 

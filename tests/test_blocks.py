@@ -1,0 +1,204 @@
+"""Event-sized loops in blocks: the same bytes at any block size, block-sized memory.
+
+Every event loop walks `events._BLOCK`-sized blocks.  Shrinking the block
+to 1, 3 and 7 events puts block edges between most events of small
+streams; streams of 0, 1, B - 1, B and B + 1 events give no block, one
+short, one full and one full plus one, and 50 events give many blocks
+whose events share pixels, where a block-major add order would show.
+Each result must equal the unpatched (one-block) result and the scalar
+oracle byte for byte.
+"""
+
+import numpy as np
+import pytest
+
+from _oracles import scalar_accumulate_iwe, scalar_simulate, scalar_voxelize
+from _peak import traced_peak
+from evmeshflow import (
+    DataError,
+    EventStream,
+    FormatError,
+    accumulate_iwe,
+    multi_density_sweep,
+    read_evt1,
+    seeded_rng,
+    voxelize,
+    warp_events,
+    write_evt1,
+)
+from evmeshflow import events
+
+_CASES = [
+    pytest.param(block, n, id=f"B{block}-n{n}")
+    for block in (1, 3, 7)
+    for n in sorted({0, 1, block - 1, block, block + 1, 50})
+]
+
+
+def _stream(n, width=5, height=4, seed=0):
+    """n sorted events with repeated stamps and shared pixels, on the span [10, 50]."""
+    rng = seeded_rng(seed + n)
+    t = np.sort(rng.integers(10, 30, size=n)) if n else np.empty(0, dtype=np.int64)
+    return EventStream(
+        rng.integers(0, width, size=n),
+        rng.integers(0, height, size=n),
+        t,
+        rng.choice([-1, 1], size=n),
+        width,
+        height,
+        10,
+        50,
+    )
+
+
+def _tuples(stream):
+    return [
+        (int(t), int(y), int(x), int(p))
+        for x, y, t, p in zip(stream.x, stream.y, stream.t, stream.p)
+    ]
+
+
+def _fields(stream):
+    return [getattr(stream, name).tobytes() for name in ("x", "y", "t", "p")]
+
+
+@pytest.mark.parametrize("block, n", _CASES)
+def test_voxelize_blocks(monkeypatch, block, n):
+    stream = _stream(n)
+    whole = [voxelize(stream, bins).tobytes() for bins in (1, 3)]
+    monkeypatch.setattr(events, "_BLOCK", block)
+    for bins, want in zip((1, 3), whole):
+        got = voxelize(stream, bins).tobytes()
+        assert got == want == scalar_voxelize(stream, bins).tobytes()
+
+
+@pytest.mark.parametrize("block, n", _CASES)
+def test_warp_and_splat_blocks(monkeypatch, block, n):
+    stream = _stream(n)
+    # Flows that put events on, between and off pixels of the 5 x 4 sensor.
+    flow = seeded_rng(9).uniform(-3.0, 3.0, size=(4, 5, 2))
+    flow[0, 0] = (0.0, 0.0)
+
+    def run():
+        out = []
+        for t_ref in (10, 50):
+            warped = warp_events(stream, flow, t_ref, 10, 50)
+            out.append((warped.xw.tobytes(), warped.yw.tobytes(), accumulate_iwe(warped)))
+        return out
+
+    whole = run()
+    monkeypatch.setattr(events, "_BLOCK", block)
+    for (xw, yw, img), (want_xw, want_yw, want_img) in zip(run(), whole):
+        assert (xw, yw) == (want_xw, want_yw)
+        assert img.tobytes() == want_img.tobytes()
+    warped = warp_events(stream, flow, 50, 10, 50)
+    assert accumulate_iwe(warped).tobytes() == scalar_accumulate_iwe(warped).tobytes()
+
+
+def _frames_with_events(n):
+    """Two 2-row frames whose first n pixels cross one threshold of 0.2 each.
+
+    Pixels alternate up and down by 1.1 .. 1.9 thresholds, so each emits one
+    event, at its own time.
+    """
+    size = max(n + n % 2, 8)
+    steps = np.zeros(size)
+    steps[:n] = 0.2 * np.linspace(1.1, 1.9, size)[:n] * np.where(np.arange(n) % 2, -1, 1)
+    values = np.exp(np.stack([np.full(size, 0.25), 0.25 + steps]))
+    return values.reshape(2, 2, size // 2), np.array([0.5, 0.75])
+
+
+@pytest.mark.parametrize("block, n", _CASES)
+def test_sweep_decode_blocks(monkeypatch, block, n):
+    values, times = _frames_with_events(n)
+    whole = multi_density_sweep(zip(times, values), [0.2, 5.0])
+    monkeypatch.setattr(events, "_BLOCK", block)
+    streams = multi_density_sweep(zip(times, values), [0.2, 5.0])
+    assert len(streams[0]) == n and len(streams[1]) == 0
+    for c, got, want in zip((0.2, 5.0), streams, whole):
+        assert _fields(got) == _fields(want)
+        assert _tuples(got) == scalar_simulate(values, times, c)
+
+
+@pytest.mark.parametrize("block, n", _CASES)
+def test_evt1_blocks(tmp_path, monkeypatch, block, n):
+    stream = _stream(n)
+    write_evt1(tmp_path / "whole.evt1", stream)
+    monkeypatch.setattr(events, "_BLOCK", block)
+    path = tmp_path / "blocks.evt1"
+    write_evt1(path, stream)
+    blob = path.read_bytes()
+    assert blob == (tmp_path / "whole.evt1").read_bytes()
+    back = read_evt1(path)
+    assert _fields(back) == _fields(stream)
+    # An empty stream has no payload to truncate.
+    for bad in [blob + bytes(16)] + [blob[:-5]] * bool(n):
+        path.write_bytes(bad)
+        with pytest.raises(FormatError, match="payload size"):
+            read_evt1(path)
+
+
+@pytest.mark.parametrize("block, n", [c for c in _CASES if c.values[1] >= 2])
+def test_validation_sees_every_block_edge(monkeypatch, block, n):
+    """An inversion or a zero polarity at any index fails, whichever block holds it."""
+    stream = _stream(n)
+    monkeypatch.setattr(events, "_BLOCK", block)
+    args = (stream.width, stream.height, 10, 10 + n)
+    for i in range(n):
+        t = np.arange(n) + 10
+        p = np.ones(n, dtype=np.int8)
+        p[i] = 0
+        with pytest.raises(DataError, match="polarities"):
+            EventStream(stream.x, stream.y, t, p, *args)
+        if i:
+            t[i] = t[i - 1] - 1
+            with pytest.raises(DataError, match="sorted"):
+                EventStream(stream.x, stream.y, t, stream.p, *args)
+
+
+# About 2**18 events: each event-sized temporary of the whole-array forms
+# (8 bytes per event) is 2 MiB, several blocks' worth.
+_N = 2**18
+
+
+def _big_stream(width=64, height=48):
+    rng = seeded_rng(4)
+    t = np.sort(rng.integers(0, 10**6, size=_N))
+    return EventStream(
+        rng.integers(0, width, size=_N),
+        rng.integers(0, height, size=_N),
+        t,
+        rng.choice([-1, 1], size=_N),
+        width,
+        height,
+        0,
+        10**6,
+    )
+
+
+def test_voxelize_holds_grid_and_blocks():
+    stream = _big_stream()
+    grid, peak = traced_peak(voxelize, stream, 5)
+    # The grid has a spare plane; a block's few float64 and int64 temporaries.
+    assert peak <= grid.nbytes * 6 // 5 + 8 * 8 * events._BLOCK
+
+
+def test_read_evt1_holds_stream_and_one_block(tmp_path):
+    path = tmp_path / "big.evt1"
+    write_evt1(path, _big_stream())
+    stream, peak = traced_peak(read_evt1, path)
+    assert len(stream) == _N
+    # 4 + 4 + 8 + 1 bytes per event, and one block of 16-byte records.
+    assert peak <= 17 * _N + 16 * events._BLOCK + 2**16
+
+
+def test_warp_and_splat_hold_their_arrays_and_blocks():
+    stream = _big_stream()
+    flow = seeded_rng(6).uniform(-4.0, 4.0, size=(stream.height, stream.width, 2))
+    warped, peak = traced_peak(warp_events, stream, flow, 0, 0, 10**6)
+    # xw and yw, 8 bytes per event each.
+    assert peak <= 16 * _N + 8 * 8 * events._BLOCK
+    image, peak = traced_peak(accumulate_iwe, warped)
+    padded = (stream.height + 2) * (stream.width + 2) * 8
+    # An int64 corner index and two float64 fractions per event.
+    assert peak <= 24 * _N + image.nbytes + padded + 8 * 8 * events._BLOCK

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import evmeshflow.io
+import evmeshflow.events
 from evmeshflow import (
     DataError,
     EventStream,
@@ -106,8 +106,9 @@ class TestEvt1:
             (28, "<b", 0, "polarities"),
             (20, "<q", 2**40, "sorted by timestamp"),
             (4, "<H", 0, "sensor dimensions"),
+            (20, "<q", -(2**63), "span"),
         ],
-        ids=["x=width", "y=height", "p=0", "unsorted-t", "width=0"],
+        ids=["x=width", "y=height", "p=0", "unsorted-t", "width=0", "span-past-int64"],
     )
     def test_bad_records_raise_format_error(self, tmp_path, offset, fmt, value, message):
         # Offsets 16.. are the first record: x, y (uint16), t (int64) at 4, p at 12.
@@ -121,10 +122,10 @@ class TestEvt1:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 9])
     def test_chunked_records_match_the_layout(self, tmp_path, monkeypatch, n):
-        # Chunks of 3 events: whole chunks, a partial last chunk, and none at
+        # Blocks of 3 events: whole blocks, a partial last block, and none at
         # all for the empty stream each give the header and one packed
         # 16-byte record per event, padding zeroed.
-        monkeypatch.setattr(evmeshflow.io, "_EVT1_CHUNK", 3)
+        monkeypatch.setattr(evmeshflow.events, "_BLOCK", 3)
         if n:
             stream = _stream(n, seed=n)
         else:

@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import scalar_bilinear_sample
+from _peak import traced_peak
 from evmeshflow import (
     AttentionOperator,
     MeshGridSpec,
@@ -196,10 +196,5 @@ def test_dense_call_builds_no_full_size_temporaries():
     ys, xs = _pixel_axes(256, 256)
     x = xs + rng.uniform(-3.0, 3.0, (256, 256))
     y = ys + rng.uniform(-3.0, 3.0, (256, 256))
-    tracemalloc.start()
-    try:
-        out = bilinear_sample(values, x, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(bilinear_sample, values, x, y)
     assert peak <= out.nbytes + 2 * 2**20
