@@ -24,6 +24,12 @@ block-sized and stay in cache; a stream of at most one block is one block.
 Each event's result depends on that event alone, and every accumulation
 still adds its terms pass by pass in event order, so the bytes do not
 depend on the block size.
+The sweep's event-sized arrays are each threshold's int64 sort keys (8
+bytes per event, held per interval and then concatenated) and the decoded
+stream: the decode writes each block's times over its keys, so the
+stream's t is the key array and the decode adds only int32 x and y and
+int8 p (9 bytes per event).  The per-pixel levels and buffers are released
+before the decode.
 """
 
 from dataclasses import dataclass, replace
@@ -149,8 +155,10 @@ def _sorted_events(key, width, height, t_start, t_end):
     """Sort event keys in place and decode them to int32 x and y, int64 t and int8 p.
 
     The keys are decoded block by block straight into the stream's dtypes,
-    so no step allocates more than the outputs and block-sized temporaries.
-    A quotient and a subtraction give the remainder: int64 `np.divmod` by a
+    and each block's times overwrite its keys once its `p` and pixel are
+    read, so the returned t is `key` itself: the decode allocates 9 bytes
+    per event (x, y and p) beyond the key and block-sized temporaries.  A
+    quotient and a subtraction give the remainder: int64 `np.divmod` by a
     scalar costs several times a floor division.
 
     Raises ParameterError when keys over [t_start, t_end] overflow int64,
@@ -166,17 +174,17 @@ def _sorted_events(key, width, height, t_start, t_end):
     key.sort()
     n = len(key)
     x, y = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
-    t, p = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int8)
+    p = np.empty(n, dtype=np.int8)
     for s in _blocks(n):
+        p[s] = (key[s] & 1) * 2 - 1
         pix = key[s] >> 1
         dt = pix // plane
         pix -= dt * plane
-        t[s] = dt + t_start
+        np.add(dt, t_start, out=key[s])
         row = pix // width
         y[s] = row
         x[s] = pix - row * width
-        p[s] = (key[s] & 1) * 2 - 1
-    return x, y, t, p
+    return x, y, key, p
 
 
 # Events one threshold of a sweep may emit: 66x the 1,009,082 events of a
@@ -329,6 +337,8 @@ def multi_density_sweep(frames, thresholds) -> list[EventStream]:
 
     height, width = shape
     t_end = int(_us(ta))
+    # Release the per-pixel levels and buffers before the decode allocates the streams.
+    refs = gap = size = la = lb = frame = cand = None
     streams = []
     for j, parts in enumerate(keys):
         if parts:

@@ -15,7 +15,6 @@ import csv
 import math
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -103,22 +102,37 @@ def _write_f32(path, magic: bytes, dims, values) -> None:
         fh.write(data)
 
 
+def _read_payload(fh, count: int, dtype, name: str) -> np.ndarray:
+    """Read the rest of an open file into a new (count,) array of dtype.
+
+    The payload size is checked from the file size before the array is
+    allocated, and the bytes land in it directly, with no copy.
+    """
+    dtype = np.dtype(dtype)
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != count * dtype.itemsize:
+        raise FormatError(f"{name} payload size mismatch")
+    values = np.empty(count, dtype=dtype)
+    # Short only if the file shrank since its size was checked.
+    if fh.readinto(values) != values.nbytes:
+        raise FormatError(f"{name} payload size mismatch")
+    return values
+
+
 def _read_f32(path, magic: bytes, shape_of) -> np.ndarray:
     """Read a _write_f32 container; shape_of maps the 2 header dims to a shape."""
     name = magic.decode()
-    blob = Path(path).read_bytes()
-    if len(blob) < _F32_HEADER.size:
-        raise FormatError(f"{name} file truncated before header")
-    found, *dims = _F32_HEADER.unpack_from(blob)
-    if found != magic:
-        raise FormatError(f"bad {name} magic {found!r}")
-    if not all(dims):
-        raise FormatError(f"{name} needs at least one cell per axis, got {dims[0]}x{dims[1]}")
-    shape = shape_of(*dims)
-    body = blob[_F32_HEADER.size :]
-    if len(body) != 4 * math.prod(shape):
-        raise FormatError(f"{name} payload size mismatch")
-    values = np.frombuffer(body, dtype="<f4")
+    with open(path, "rb") as fh:
+        header = fh.read(_F32_HEADER.size)
+        if len(header) < _F32_HEADER.size:
+            raise FormatError(f"{name} file truncated before header")
+        found, *dims = _F32_HEADER.unpack(header)
+        if found != magic:
+            raise FormatError(f"bad {name} magic {found!r}")
+        if not all(dims):
+            raise FormatError(f"{name} needs at least one cell per axis, got {dims[0]}x{dims[1]}")
+        shape = shape_of(*dims)
+        values = _read_payload(fh, math.prod(shape), "<f4", name)
     if not np.isfinite(values).all():
         raise FormatError(f"{name} values must be finite")
     return values.astype(np.float64).reshape(shape)
@@ -159,24 +173,22 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    parts = blob.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5":
-        raise FormatError("not a binary PGM file")
-    try:
-        width, height = (int(v) for v in parts[1].split())
-        maxval = int(parts[2])
-    except ValueError as exc:
-        raise FormatError("bad PGM header") from exc
-    if width < 1 or height < 1:
-        raise FormatError(f"bad PGM size {width}x{height}")
-    if maxval != 65535:
-        raise FormatError(f"unsupported PGM maxval {maxval}")
-    body = parts[3]
-    if len(body) != width * height * 2:
-        raise FormatError("PGM payload size mismatch")
-    values = np.frombuffer(body, dtype=">u2").astype(np.float64)
-    return values.reshape(height, width) / 65535.0
+    with open(path, "rb") as fh:
+        lines = [fh.readline() for _ in range(3)]
+        if not all(line.endswith(b"\n") for line in lines) or lines[0] != b"P5\n":
+            raise FormatError("not a binary PGM file")
+        try:
+            width, height = (int(v) for v in lines[1].split())
+            maxval = int(lines[2])
+        except ValueError as exc:
+            raise FormatError("bad PGM header") from exc
+        if width < 1 or height < 1:
+            raise FormatError(f"bad PGM size {width}x{height}")
+        if maxval != 65535:
+            raise FormatError(f"unsupported PGM maxval {maxval}")
+        values = _read_payload(fh, width * height, ">u2", "PGM").astype(np.float64)
+    values /= 65535.0
+    return values.reshape(height, width)
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:

@@ -10,6 +10,9 @@ lower-bin terms of every block, then the upper-bin terms of every block.
 Each cell therefore receives its additions in the order of the whole-array
 form, all lower terms in event order and then all upper ones, and every
 term is the same float, so the grid's bytes do not depend on the block size.
+Its event-sized arrays are the stream's own; everything it allocates is
+the grid and block-sized temporaries.  `density` holds two (H, W) planes
+besides the grid.
 """
 
 import numpy as np
@@ -58,5 +61,9 @@ def density(grid: np.ndarray) -> float:
     a bin count as inactive.
     """
     grid = _check_stack(grid, "grid")
-    active = np.abs(grid).sum(axis=0) > 0.0
-    return float(active.mean())
+    # Plane by plane, in the order of a sum over axis 0, so no |grid|-sized
+    # copy is built: at most two (H, W) planes are held.
+    total = np.abs(grid[0])
+    for plane in grid[1:]:
+        total += np.abs(plane)
+    return float((total > 0.0).mean())

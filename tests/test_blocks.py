@@ -18,15 +18,20 @@ from evmeshflow import (
     DataError,
     EventStream,
     FormatError,
+    ParameterError,
+    ShapeError,
     accumulate_iwe,
+    contrast,
+    density,
     multi_density_sweep,
     read_evt1,
     seeded_rng,
+    two_sided_components,
     voxelize,
     warp_events,
     write_evt1,
 )
-from evmeshflow import events
+from evmeshflow import cmax, events
 
 _CASES = [
     pytest.param(block, n, id=f"B{block}-n{n}")
@@ -93,6 +98,61 @@ def test_warp_and_splat_blocks(monkeypatch, block, n):
         assert img.tobytes() == want_img.tobytes()
     warped = warp_events(stream, flow, 50, 10, 50)
     assert accumulate_iwe(warped).tobytes() == scalar_accumulate_iwe(warped).tobytes()
+
+
+@pytest.mark.parametrize("block, n", _CASES)
+def test_two_sided_components_blocks(monkeypatch, block, n):
+    """Warping straight into cells scores as warp_events + accumulate_iwe does."""
+    stream = _stream(n)
+    flow = seeded_rng(9).uniform(-3.0, 3.0, size=(4, 5, 2))
+    # Events at two pixels leave the sensor, one of them far off it.
+    flow[1, 2] = (40.0, -40.0)
+    flow[2, 1] = (1e7, 3.0)
+
+    def separate():
+        return [
+            contrast(accumulate_iwe(warp_events(stream, flow, t_ref, 10, 50)))
+            for t_ref in (10, 50)
+        ]
+
+    def raw(values):
+        return [np.float64(v).tobytes() for v in values]
+
+    whole = raw(two_sided_components(stream, flow, 10, 50))
+    assert whole == raw(separate())
+    monkeypatch.setattr(events, "_BLOCK", block)
+    assert raw(two_sided_components(stream, flow, 10, 50)) == whole
+    assert raw(separate()) == whole
+
+
+@pytest.mark.parametrize(
+    "flow, t_i, t_j",
+    [
+        (np.zeros((5, 4, 2)), 10, 50),
+        (np.zeros((4, 5)), 10, 50),
+        (np.full((4, 5, 2), np.nan), 10, 50),
+        (np.full((4, 5, 2), np.inf), 10, 50),
+        (np.zeros((4, 5, 2)), np.nan, 50),
+        (np.zeros((4, 5, 2)), 10, -np.inf),
+        (np.zeros((4, 5, 2)), 30, 30),
+    ],
+    ids=["transposed", "2-d", "nan-flow", "inf-flow", "nan-t_i", "inf-t_j", "zero-length"],
+)
+def test_two_sided_components_raises_as_warp_events(flow, t_i, t_j):
+    stream = _stream(3)
+    with pytest.raises((ShapeError, DataError, ParameterError)) as want:
+        warp_events(stream, flow, t_i, t_i, t_j)
+    with pytest.raises(want.type) as got:
+        two_sided_components(stream, flow, t_i, t_j)
+    assert type(got.value) is want.type
+    assert str(got.value) == str(want.value)
+
+
+def test_cells_are_int32_below_2_31_padded_pixels():
+    # A 357913939 x 4 sensor pads to 357913941 x 6 = 2**31 - 2 cells, and a
+    # (2**29 - 2) x 2 sensor to 2**29 x 4 = 2**31.
+    assert cmax._cell_dtype(357913939, 4) == np.int32
+    assert cmax._cell_dtype(2**29 - 2, 2) == np.intp
 
 
 def _frames_with_events(n):
@@ -200,5 +260,40 @@ def test_warp_and_splat_hold_their_arrays_and_blocks():
     assert peak <= 16 * _N + 8 * 8 * events._BLOCK
     image, peak = traced_peak(accumulate_iwe, warped)
     padded = (stream.height + 2) * (stream.width + 2) * 8
-    # An int64 corner index and two float64 fractions per event.
-    assert peak <= 24 * _N + image.nbytes + padded + 8 * 8 * events._BLOCK
+    # An int32 corner cell and two float64 fractions per event.
+    assert peak <= 20 * _N + image.nbytes + padded + 8 * 8 * events._BLOCK
+
+
+def test_two_sided_components_holds_cells_fractions_and_blocks():
+    stream = _big_stream()
+    flow = seeded_rng(6).uniform(-4.0, 4.0, size=(stream.height, stream.width, 2))
+    _, peak = traced_peak(two_sided_components, stream, flow, 0, 10**6)
+    padded = (stream.height + 2) * (stream.width + 2) * 8
+    # The cells and fractions of accumulate_iwe, and no warped positions.
+    assert peak <= 20 * _N + padded + 8 * 8 * events._BLOCK
+
+
+def test_sorted_events_decodes_times_into_the_key():
+    stream = _big_stream()
+    plane = stream.width * stream.height
+    pix = stream.y.astype(np.int64) * stream.width + stream.x
+    key = events._event_keys(stream.t, pix, stream.p, plane, 0)
+    # Equal keys are equal events, so any sort gives the decoded order.
+    order = np.argsort(key)
+    (x, y, t, p), peak = traced_peak(
+        events._sorted_events, key, stream.width, stream.height, 0, 10**6
+    )
+    assert t is key
+    assert _fields(EventStream(x, y, t, p, stream.width, stream.height, 0, 10**6)) == [
+        getattr(stream, name)[order].tobytes() for name in ("x", "y", "t", "p")
+    ]
+    # int32 x and y and int8 p; the times overwrite the keys.
+    assert peak <= 9 * _N + 8 * 8 * events._BLOCK
+
+
+def test_density_holds_two_planes():
+    grid = voxelize(_big_stream(256, 192), 5)
+    plane = grid[0].nbytes
+    value, peak = traced_peak(density, grid)
+    assert value == float((np.abs(grid).sum(axis=0) > 0.0).mean())
+    assert peak <= 2 * plane + 2**16

@@ -322,13 +322,14 @@ class TestSelect:
     def test_each_candidate_scored_once(self, tmp_path, capsys, monkeypatch):
         _make_candidates(tmp_path)
         calls = []
-        accumulate = evmeshflow.cmax.accumulate_iwe
+        splat = evmeshflow.cmax._splat
 
+        # The corner loop that every image of warped events comes from.
         def counting(*args, **kwargs):
             calls.append(1)
-            return accumulate(*args, **kwargs)
+            return splat(*args, **kwargs)
 
-        monkeypatch.setattr(evmeshflow.cmax, "accumulate_iwe", counting)
+        monkeypatch.setattr(evmeshflow.cmax, "_splat", counting)
         names = ["coherent", "shuffled", "coherent"]
         code, _, _ = _run(
             capsys, "select", "--out", tmp_path / "out",

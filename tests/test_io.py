@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evmeshflow.events
+from _peak import traced_peak
 from evmeshflow import (
     DataError,
     EventStream,
@@ -267,6 +268,26 @@ class TestPgm:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError):
             read_pgm(path)
+
+
+# Bytes per value beyond the float64 result: the stored float32 values and a
+# 1-byte finiteness mask, or the stored 16-bit PGM samples.
+@pytest.mark.parametrize(
+    "write, read, value, extra",
+    [
+        (write_flo1, read_flo1, np.full((192, 256, 2), 0.25), 5),
+        (write_msh1, read_msh1, np.full((192, 256, 2), 0.25), 5),
+        (write_pgm, read_pgm, np.ones((192, 256)), 2),
+    ],
+    ids=["FLO1", "MSH1", "PGM"],
+)
+def test_readers_copy_the_payload_once(tmp_path, write, read, value, extra):
+    """The payload is read straight into one array of the stored dtype."""
+    path = tmp_path / "big.bin"
+    write(path, value)
+    back, peak = traced_peak(read, path)
+    assert back.tobytes() == value.tobytes()
+    assert peak <= back.nbytes + extra * back.size + 2**16
 
 
 _CONTAINERS = {
