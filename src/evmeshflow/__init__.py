@@ -16,7 +16,6 @@ from .cmax import (
     contrast,
     select_best,
     two_sided_components,
-    two_sided_score,
     warp_events,
 )
 from .correlation import (

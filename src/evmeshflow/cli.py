@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .cmax import two_sided_components
+from .cmax import select_best
 from .errors import FormatError, ParameterError
 from .events import (
     multi_density_sweep,
@@ -229,16 +229,14 @@ def cmd_select(cfg, out: Path, seed: int):
         candidates = [io.read_evt1(p) for p in paths]
         flow = io.read_flo1(flow_path)
     with _stage("select"):
-        t_i = min(s.t_start for s in candidates)
-        t_j = max(s.t_end for s in candidates)
-        rows = []
-        totals = []
-        for k, stream in enumerate(candidates):
-            var_i, var_j = two_sided_components(stream, flow, t_i, t_j)
-            totals.append(var_i + var_j)
-            rows.append([k, repr(var_i), repr(var_j), repr(totals[-1])])
-        # argmax takes the first maximum, so ties resolve to the lowest index.
-        best = int(np.argmax(totals))
+        # EVT1 stores no span, so an empty stream reads back as [0, 0]: only
+        # streams with events set the interval.
+        full = [s for s in candidates if len(s)]
+        if not full:
+            raise ParameterError("every candidate stream is empty")
+        t_i, t_j = min(s.t_start for s in full), max(s.t_end for s in full)
+        best, components = select_best(candidates, flow, t_i, t_j)
+        rows = [[k, repr(a), repr(b), repr(a + b)] for k, (a, b) in enumerate(components)]
     with _stage("write"):
         io.write_csv_rows(
             out / "scores.csv", ["candidate_index", "var_ti", "var_tj", "total"], rows

@@ -36,13 +36,11 @@ class WarpedEvents:
     """Continuous event positions after transport to a reference time.
 
     Positions may leave the sensor; rasterizing discards the mass that
-    lands off it.  `warp_events` passes the stream's own polarity array as
-    `p`, without a copy.
+    lands off it.
     """
 
     xw: np.ndarray
     yw: np.ndarray
-    p: np.ndarray
     width: int
     height: int
 
@@ -129,7 +127,7 @@ def warp_events(
     xw, yw = np.empty(n), np.empty(n)
     for s in _blocks(n):
         _warp_block(stream, flat, s, t_ref, length, xw[s], yw[s])
-    return WarpedEvents(xw, yw, stream.p, stream.width, stream.height)
+    return WarpedEvents(xw, yw, stream.width, stream.height)
 
 
 def accumulate_iwe(warped: WarpedEvents) -> np.ndarray:
@@ -179,28 +177,18 @@ def two_sided_components(
     return parts[0], parts[1]
 
 
-def two_sided_score(
-    stream: EventStream,
-    flow: np.ndarray,
-    t_i: float,
-    t_j: float,
-) -> float:
-    """Sum of warped-image variances at both interval endpoints."""
-    var_i, var_j = two_sided_components(stream, flow, t_i, t_j)
-    return var_i + var_j
-
-
 def select_best(
     candidates: list[EventStream],
     flow: np.ndarray,
     t_i: float,
     t_j: float,
-) -> int:
-    """Index of the candidate with the highest two-sided score.
+) -> tuple[int, list[tuple[float, float]]]:
+    """The best candidate's index, and every candidate's (var_i, var_j).
 
-    Ties resolve to the lowest index.
+    Candidates rank by var_i + var_j from `two_sided_components`; ties
+    resolve to the lowest index.
     """
     if not candidates:
         raise ParameterError("at least one candidate stream required")
-    scores = [two_sided_score(s, flow, t_i, t_j) for s in candidates]
-    return int(np.argmax(scores))
+    components = [two_sided_components(s, flow, t_i, t_j) for s in candidates]
+    return int(np.argmax([var_i + var_j for var_i, var_j in components])), components

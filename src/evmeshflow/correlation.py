@@ -88,8 +88,13 @@ def correlate(
             a = feat_a[:, ay_lo:ay_hi, ax_lo:ax_hi]
             b = feat_b[:, ay_lo + dy : ay_hi + dy, ax_lo + dx : ax_hi + dx]
             # einsum sums a[c] * b[c] per pixel in channel order from 0.0,
-            # like naive_correlate, without a (C, H', W') product temporary.
-            scores[m, ay_lo:ay_hi, ax_lo:ax_hi] = np.einsum("chw,chw->hw", a, b) / denom
+            # like naive_correlate, without a (C, H', W') product temporary;
+            # on a lone pixel it sums pairwise, so cumsum keeps the order.
+            if a[0].size > 1:
+                dot = np.einsum("chw,chw->hw", a, b)
+            else:
+                dot = np.cumsum(np.append(0.0, a * b))[-1]
+            scores[m, ay_lo:ay_hi, ax_lo:ax_hi] = dot / denom
     return CostVolume(scores, offsets)
 
 

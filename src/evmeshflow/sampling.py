@@ -6,8 +6,9 @@ along its first axis in blocks of about `_TILE` samples (a call of at most
 `_TILE` samples is one block).  Each position array keeps its own shape
 inside a block, so (H, 1) and (1, W) axes are never expanded to (H, W).
 Per block the positions are clipped to the grid, the corner index
-row0 * W + col0 is formed once and stepped by (col0 < W - 1) and
-W * (row0 < H - 1), and every plane receives its four corners in the order
+row0 * s_r + col0 * s_c is formed once from the field's element strides
+and stepped by s_c * (col0 < W - 1) and s_r * (row0 < H - 1), and every
+plane, read in place, receives its four corners in the order
 v00*gx*gy, v01*fx*gy, v10*gx*fy, v11*fx*fy: each corner is gathered,
 multiplied by its x weight and then its y weight, and added into the plane.
 Every temporary is block-sized and stays in cache.
@@ -38,16 +39,15 @@ def _pixel_axes(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return ys, xs
 
 
-def _sample_planes(vals: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """Sample each (H, W) plane of vals into the matching plane of out.
+def _sample_planes(flat, strides, height, width, x, y, out) -> None:
+    """Sample each (H, W) plane of a field into the matching plane of out.
 
-    out is (C,) + broadcast(x, y) and may be a strided view.  A NaN
-    position warns in the int64 cast.
+    flat is the field's C-contiguous buffer and strides its (plane, row,
+    column) steps in elements: (H * W, W, 1) for a (C, H, W) stack and
+    (1, W * C, C) for an (H, W, C) field, so neither is copied.  out is
+    (C,) + broadcast(x, y) and may be a strided view.  A NaN position warns
+    in the int64 cast.
     """
-    _, height, width = vals.shape
-    # One copy for a strided (channels-last) view, so that np.take does
-    # not copy each plane again for every corner.
-    flat = np.ascontiguousarray(vals.reshape(vals.shape[0], -1))
     if out.ndim == 1:
         out = out[:, None]
     shape = out.shape[1:]
@@ -63,14 +63,15 @@ def _sample_planes(vals: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarr
         block = (hi - lo,) + shape[1:]
         n = (hi - lo) * inner
         _sample_block(
-            flat, height, width,
+            flat, strides, height, width,
             x if len(x) == 1 else x[lo:hi], y if len(y) == 1 else y[lo:hi], out[:, lo:hi],
             term[:n].reshape(block), corners[:, :n].reshape((4,) + block),
         )
 
 
-def _sample_block(flat, height, width, x, y, out, term, corners):
+def _sample_block(flat, strides, height, width, x, y, out, term, corners):
     """One block of _sample_planes; its temporaries die before the next block's."""
+    s_p, s_r, s_c = strides
     fx = np.clip(x, 0.0, width - 1.0)
     fy = np.clip(y, 0.0, height - 1.0)
     col0 = fx.astype(np.int64)
@@ -79,19 +80,24 @@ def _sample_block(flat, height, width, x, y, out, term, corners):
     np.subtract(fy, row0, out=fy)
     gx, gy = 1.0 - fx, 1.0 - fy
     i00, i01, i10, i11 = corners
-    step_y = (row0 < height - 1) * width
-    row0 *= width
+    step_x = col0 < width - 1
+    step_y = (row0 < height - 1) * s_r
+    row0 *= s_r
+    if s_c != 1:  # two passes that (C, H, W) stacks skip
+        step_x, col0 = step_x * s_c, col0 * s_c
     np.add(row0, col0, out=i00)
-    np.add(i00, col0 < width - 1, out=i01)
+    np.add(i00, step_x, out=i01)
     np.add(i00, step_y, out=i10)
     np.add(i01, step_y, out=i11)
 
     # Plane by plane, each corner is gathered and weighted in place in term
     # and added into the output plane, while the plane stays in cache.
-    # Finite positions give indices in range, so mode="clip" changes no
-    # value; it only keeps np.take from buffering.
+    # Plane c is the buffer from c * s_p on.  Finite positions give indices
+    # in range, so mode="clip" changes no value; it only keeps np.take from
+    # buffering.
     weights = ((gx, gy), (fx, gy), (gx, fy), (fx, fy))
-    for plane, dst in zip(flat, out):
+    for c, dst in enumerate(out):
+        plane = flat[c * s_p:]
         for k, (idx, (wx, wy)) in enumerate(zip(corners, weights)):
             np.take(plane, idx, out=term, mode="clip")
             term *= wx
@@ -115,7 +121,7 @@ def bilinear_sample(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
         for (C, H, W) input).  Positions outside the grid read the nearest
         edge value.
     """
-    vals = np.asarray(values, dtype=np.float64)
+    vals = np.ascontiguousarray(values, dtype=np.float64)
     if vals.ndim == 2:
         vals = vals[None]
         squeeze = True
@@ -124,8 +130,9 @@ def bilinear_sample(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
     else:
         raise ShapeError(f"expected (H, W) or (C, H, W) values, got {values.shape}")
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    out = np.empty((vals.shape[0],) + np.broadcast_shapes(x.shape, y.shape))
-    _sample_planes(vals, x, y, out)
+    _, height, width = vals.shape
+    out = np.empty(vals.shape[:1] + np.broadcast_shapes(x.shape, y.shape))
+    _sample_planes(vals.ravel(), (height * width, width, 1), height, width, x, y, out)
     return out[0] if squeeze else out
 
 
@@ -135,8 +142,10 @@ def _sample_channels_last(field: np.ndarray, x: np.ndarray, y: np.ndarray) -> np
     Returns a C-contiguous array of shape broadcast(x, y) + (C,), equal
     byte for byte to stacking one bilinear_sample per channel.
     """
-    field = np.asarray(field, dtype=np.float64)
+    field = np.ascontiguousarray(field, dtype=np.float64)
+    height, width, channels = field.shape
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape) + field.shape[-1:])
-    _sample_planes(np.moveaxis(field, -1, 0), x, y, np.moveaxis(out, -1, 0))
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape) + (channels,))
+    strides = (1, width * channels, channels)
+    _sample_planes(field.ravel(), strides, height, width, x, y, np.moveaxis(out, -1, 0))
     return out

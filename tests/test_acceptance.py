@@ -41,7 +41,7 @@ from evmeshflow import (
     shuffle_timestamps,
     simulate,
     total_loss,
-    two_sided_score,
+    two_sided_components,
     upsample_bilinear,
     voxelize,
     AttentionOperator,
@@ -188,12 +188,12 @@ def test_criterion_06_contrast_selection():
     flow = flow_between(scene, 0.0, 1.0)
     assert float(np.hypot(flow[..., 0], flow[..., 1]).max()) >= 2.0
     t0, t1 = stream.t_start, stream.t_end
-    gt_score = two_sided_score(stream, flow, t0, t1)
-    zero_score = two_sided_score(stream, np.zeros_like(flow), t0, t1)
+    gt_score = sum(two_sided_components(stream, flow, t0, t1))
+    zero_score = sum(two_sided_components(stream, np.zeros_like(flow), t0, t1))
     wins = 0
     for k in range(100):
         shuffled = shuffle_timestamps(stream, seeded_rng(606, k))
-        if select_best([shuffled, stream], flow, t0, t1) == 1:
+        if select_best([shuffled, stream], flow, t0, t1)[0] == 1:
             wins += 1
     ok = gt_score > zero_score and wins >= 95
     _report(6, "contrast-based selection", ok, f"gt={gt_score:.4f} zero={zero_score:.4f}, coherent wins {wins}/100")

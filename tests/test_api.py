@@ -30,7 +30,6 @@ DELETED_KEYWORDS = (
     ("accumulate_iwe", "signed"),
     ("accumulate_iwe", "splat"),
     ("two_sided_components", "splat"),
-    ("two_sided_score", "splat"),
     ("select_best", "splat"),
     ("correlate", "normalize"),
     ("cdc_fuse", "correction"),
@@ -68,13 +67,16 @@ def test_deleted_names_are_gone():
 def test_deleted_keywords_are_gone():
     for func, keyword in DELETED_KEYWORDS:
         assert keyword not in inspect.signature(getattr(evmeshflow, func)).parameters
+    assert not hasattr(evmeshflow, "two_sided_score")
+    assert not hasattr(evmeshflow.cmax, "two_sided_score")
     assert not hasattr(evmeshflow.WarpedEvents, "on_sensor")
     assert not hasattr(evmeshflow.cmax, "SPLAT_MODES")
     assert not hasattr(evmeshflow.sampling, "bilinear_sample_wrapped")
     assert not hasattr(evmeshflow.sampling, "_blend")
     assert not hasattr(evmeshflow.fusion, "_check_grid")
     assert not hasattr(evmeshflow.correlation, "_check_features")
-    assert "t_ref" not in {field.name for field in dataclasses.fields(evmeshflow.WarpedEvents)}
+    warped_fields = [field.name for field in dataclasses.fields(evmeshflow.WarpedEvents)]
+    assert warped_fields == ["xw", "yw", "width", "height"]
     fields = {field.name for field in dataclasses.fields(evmeshflow.Scene)}
     assert "intensity_floor" not in fields
     assert not hasattr(evmeshflow, "dilated_mask")

@@ -1,19 +1,26 @@
+import contextlib
 import csv
 import os
 import subprocess
 import sys
+import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evmeshflow.cli
 import evmeshflow.cmax
 from evmeshflow import (
+    EventStream,
     MotionSpec,
     Scene,
     adaptive_timestamps,
     extract_meshflow,
+    flow_between,
     read_evt1,
     read_flo1,
     read_msh1,
@@ -21,6 +28,7 @@ from evmeshflow import (
     render_frame,
     render_sequence,
     seeded_rng,
+    select_best,
     shuffle_timestamps,
     simulate,
     write_evt1,
@@ -271,13 +279,43 @@ def _make_candidates(tmp_path):
     frames = render_sequence(scene, times)
     stream = simulate(frames, 0.2)
     shuffled = shuffle_timestamps(stream, seeded_rng(0, 42))
-    from evmeshflow import flow_between
-
     flow = flow_between(scene, 0.0, 1.0)
     write_evt1(tmp_path / "coherent.evt1", stream)
     write_evt1(tmp_path / "shuffled.evt1", shuffled)
     write_flo1(tmp_path / "flow.flo1", flow)
     return stream
+
+
+def _empty_stream(width, height):
+    empty = np.empty(0, dtype=np.int64)
+    return EventStream(empty, empty, empty, empty, width, height, 0, 0)
+
+
+@st.composite
+def _select_case(draw):
+    """Candidate streams on a 6x5 sensor, repeats and empty ones included, and a flow."""
+    width, height = 6, 5
+    streams = []
+    for _ in range(draw(st.integers(1, 4))):
+        if streams and draw(st.booleans()):
+            streams.append(draw(st.sampled_from(streams)))
+            continue
+        n = draw(st.integers(0, 12))
+        if n == 0:
+            streams.append(_empty_stream(width, height))
+            continue
+        x = draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n))
+        y = draw(st.lists(st.integers(0, height - 1), min_size=n, max_size=n))
+        t = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)))
+        p = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+        streams.append(EventStream(
+            np.array(x), np.array(y), np.array(t), np.array(p), width, height, t[0], t[-1]
+        ))
+    values = draw(st.lists(
+        st.floats(-8.0, 8.0, allow_nan=False, width=32), min_size=width * height * 2,
+        max_size=width * height * 2,
+    ))
+    return streams, np.array(values).reshape(height, width, 2)
 
 
 class TestSelect:
@@ -339,6 +377,70 @@ class TestSelect:
         assert code == 0
         # One image of warped events per interval endpoint per candidate.
         assert len(calls) == 2 * len(names)
+
+    def test_empty_candidate_leaves_other_scores(self, tmp_path, capsys):
+        # EVT1 stores no span, so an empty stream reads back on [0, 0]; the
+        # other candidates must still be scored on their own [1, 2] s.
+        scene = Scene(32, 32, 5, MotionSpec("translation", (8.0, 3.0)), 1.0, 2.0)
+        stream = simulate(render_sequence(scene, adaptive_timestamps(scene, 1.0, 2.0)), 0.2)
+        write_evt1(tmp_path / "late.evt1", stream)
+        write_evt1(tmp_path / "empty.evt1", _empty_stream(32, 32))
+        write_flo1(tmp_path / "flow.flo1", flow_between(scene, 1.0, 2.0))
+        lines = {}
+        for names in (["late"], ["late", "empty"]):
+            out = tmp_path / "_".join(names)
+            code, _, _ = _run(
+                capsys, "select", "--out", out,
+                "candidates=" + ",".join(str(tmp_path / f"{n}.evt1") for n in names),
+                f"flow={tmp_path / 'flow.flo1'}",
+            )
+            assert code == 0
+            lines[len(names)] = (out / "scores.csv").read_bytes().splitlines()
+        assert lines[2][:2] == lines[1]
+        assert lines[2][2] == b"1,0.0,0.0,0.0"
+
+    def test_only_empty_candidates_fail_in_select_stage(self, tmp_path, capsys):
+        _make_candidates(tmp_path)
+        write_evt1(tmp_path / "empty.evt1", _empty_stream(32, 32))
+        code, _, stderr = _run(
+            capsys, "select", "--out", tmp_path / "out",
+            f"candidates={tmp_path / 'empty.evt1'},{tmp_path / 'empty.evt1'}",
+            f"flow={tmp_path / 'flow.flo1'}",
+        )
+        assert code == 1
+        assert stderr.startswith("error [select]:")
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_select_case())
+    def test_cli_scores_equal_select_best(self, case):
+        """scores.csv and selected.txt are select_best on the read-back files."""
+        streams, flow = case
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            paths = [root / f"c{k}.evt1" for k in range(len(streams))]
+            for path, stream in zip(paths, streams):
+                write_evt1(path, stream)
+            write_flo1(root / "flow.flo1", flow)
+            with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()) as err:
+                code = main([
+                    "select", "--out", str(root / "out"),
+                    "candidates=" + ",".join(map(str, paths)), f"flow={root / 'flow.flo1'}",
+                ])
+            candidates = [read_evt1(path) for path in paths]
+            full = [c for c in candidates if len(c)]
+            t_i = min((c.t_start for c in full), default=0)
+            t_j = max((c.t_end for c in full), default=0)
+            if t_i == t_j:
+                # No candidate has events, or all of them fall at one time.
+                assert code == 1 and err.getvalue().startswith("error [select]:")
+                return
+            assert code == 0
+            best, components = select_best(candidates, read_flo1(root / "flow.flo1"), t_i, t_j)
+            rows = _read_csv(root / "out" / "scores.csv")
+            assert rows[1:] == [
+                [str(k), repr(a), repr(b), repr(a + b)] for k, (a, b) in enumerate(components)
+            ]
+            assert (root / "out" / "selected.txt").read_text() == f"{best}\n"
 
     def test_no_candidates_fails_in_config_stage(self, tmp_path, capsys):
         _make_candidates(tmp_path)

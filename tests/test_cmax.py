@@ -20,7 +20,6 @@ from evmeshflow import (
     shuffle_timestamps,
     simulate,
     two_sided_components,
-    two_sided_score,
     warp_events,
 )
 
@@ -109,45 +108,35 @@ class TestWarpEvents:
 
 class TestAccumulateIwe:
     def test_bilinear_half_pixel_split(self):
-        warped = WarpedEvents(
-            np.array([0.5]), np.array([0.0]), np.array([1]), 4, 4
-        )
+        warped = WarpedEvents(np.array([0.5]), np.array([0.0]), 4, 4)
         img = accumulate_iwe(warped)
         assert img[0, 0] == pytest.approx(0.5)
         assert img[0, 1] == pytest.approx(0.5)
         assert img.sum() == pytest.approx(1.0)
 
     def test_empty_input_zero_image(self):
-        warped = WarpedEvents(
-            np.empty(0), np.empty(0), np.empty(0, dtype=np.int8), 4, 4
-        )
+        warped = WarpedEvents(np.empty(0), np.empty(0), 4, 4)
         assert not accumulate_iwe(warped).any()
 
     def test_off_sensor_mass_discarded(self):
-        warped = WarpedEvents(
-            np.array([-3.0, 1.0]), np.array([0.0, 1.0]), np.array([1, 1]), 4, 4
-        )
+        warped = WarpedEvents(np.array([-3.0, 1.0]), np.array([0.0, 1.0]), 4, 4)
         img = accumulate_iwe(warped)
         assert img.sum() == pytest.approx(1.0)
 
     def test_far_off_sensor_position_casts_cleanly(self):
         # floor(1e300) overflows int64; the suite turns the cast warning into
         # an error.
-        warped = WarpedEvents(
-            np.array([1e300, 1.5]), np.array([0.0, 1.0]), np.array([1, 1]), 4, 4
-        )
+        warped = WarpedEvents(np.array([1e300, 1.5]), np.array([0.0, 1.0]), 4, 4)
         assert accumulate_iwe(warped).sum() == 1.0
 
     def test_mass_bounded_by_count_with_onsensor_equality(self):
         rng = seeded_rng(2)
         xw = rng.uniform(-1, 8, size=50)
         yw = rng.uniform(-1, 8, size=50)
-        warped = WarpedEvents(xw, yw, np.ones(50, dtype=np.int8), 8, 8)
+        warped = WarpedEvents(xw, yw, 8, 8)
         img = accumulate_iwe(warped)
         assert img.sum() <= 50 + 1e-9
-        inside = WarpedEvents(
-            np.clip(xw, 0, 7), np.clip(yw, 0, 7), warped.p, 8, 8
-        )
+        inside = WarpedEvents(np.clip(xw, 0, 7), np.clip(yw, 0, 7), 8, 8)
         assert accumulate_iwe(inside).sum() == pytest.approx(50.0)
 
 
@@ -176,13 +165,8 @@ def _warped_events(draw):
     n = draw(st.integers(0, 40))
     xw = draw(st.lists(coord(width), min_size=n, max_size=n))
     yw = draw(st.lists(coord(height), min_size=n, max_size=n))
-    p = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
     return WarpedEvents(
-        np.array(xw, dtype=np.float64),
-        np.array(yw, dtype=np.float64),
-        np.array(p, dtype=np.int8),
-        width,
-        height,
+        np.array(xw, dtype=np.float64), np.array(yw, dtype=np.float64), width, height
     )
 
 
@@ -228,14 +212,14 @@ class TestTwoSidedScore:
     def test_empty_stream_scores_zero(self):
         empty = np.empty(0, dtype=np.int64)
         stream = EventStream(empty, empty, empty, empty, 8, 8, 0, 100)
-        assert two_sided_score(stream, np.zeros((8, 8, 2)), 0, 100) == 0.0
+        assert two_sided_components(stream, np.zeros((8, 8, 2)), 0, 100) == (0.0, 0.0)
 
     def test_true_flow_beats_zero_flow(self):
         _, stream, flow = _scene_stream()
         zero = np.zeros_like(flow)
         t0, t1 = stream.t_start, stream.t_end
-        assert two_sided_score(stream, flow, t0, t1) > two_sided_score(
-            stream, zero, t0, t1
+        assert sum(two_sided_components(stream, flow, t0, t1)) > sum(
+            two_sided_components(stream, zero, t0, t1)
         )
 
     def test_symmetric_stream_zero_flow_sides_equal(self):
@@ -250,12 +234,16 @@ class TestTwoSidedScore:
         assert var_i == pytest.approx(var_j)
 
     def test_components_sum_to_score(self):
+        # select_best returns each candidate's components and ranks by their sum.
         _, stream, flow = _scene_stream()
+        shuffled = shuffle_timestamps(stream, seeded_rng(0, 4))
         t0, t1 = stream.t_start, stream.t_end
-        var_i, var_j = two_sided_components(stream, flow, t0, t1)
-        assert two_sided_score(stream, flow, t0, t1) == pytest.approx(
-            var_i + var_j
-        )
+        best, components = select_best([shuffled, stream], flow, t0, t1)
+        assert components == [
+            two_sided_components(s, flow, t0, t1) for s in (shuffled, stream)
+        ]
+        totals = [var_i + var_j for var_i, var_j in components]
+        assert best == totals.index(max(totals)) == 1
 
 
 class TestSelectBest:
@@ -265,24 +253,27 @@ class TestSelectBest:
 
     def test_single_candidate(self):
         stream = _stream([1], [1], [50], [1], span=(0, 100))
-        assert select_best([stream], np.zeros((8, 8, 2)), 0, 100) == 0
+        best, components = select_best([stream], np.zeros((8, 8, 2)), 0, 100)
+        assert best == 0 and len(components) == 1
 
     def test_duplicate_candidates_tie_to_lowest_index(self):
         stream = _stream([1, 2], [1, 2], [10, 90], [1, 1], span=(0, 100))
-        assert select_best([stream, stream], np.zeros((8, 8, 2)), 0, 100) == 0
+        best, components = select_best([stream, stream], np.zeros((8, 8, 2)), 0, 100)
+        assert best == 0 and components[0] == components[1]
 
     def test_coherent_stream_beats_shuffled_copy(self):
         _, stream, flow = _scene_stream()
         shuffled = shuffle_timestamps(stream, seeded_rng(0, 1))
         t0, t1 = stream.t_start, stream.t_end
-        assert select_best([shuffled, stream], flow, t0, t1) == 1
-        assert select_best([stream, shuffled], flow, t0, t1) == 0
+        assert select_best([shuffled, stream], flow, t0, t1)[0] == 1
+        assert select_best([stream, shuffled], flow, t0, t1)[0] == 0
 
     def test_appending_worse_candidate_keeps_choice(self):
         _, stream, flow = _scene_stream()
         shuffled = shuffle_timestamps(stream, seeded_rng(0, 2))
         t0, t1 = stream.t_start, stream.t_end
         base = [shuffled, stream]
-        best = select_best(base, flow, t0, t1)
+        best, components = select_best(base, flow, t0, t1)
         worse = shuffle_timestamps(stream, seeded_rng(0, 3))
-        assert select_best(base + [worse], flow, t0, t1) == best
+        more = select_best(base + [worse], flow, t0, t1)
+        assert more[0] == best and more[1][:2] == components

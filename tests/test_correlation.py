@@ -154,6 +154,13 @@ class TestCorrelate:
         vol = correlate(feat_a, feat_b, SearchGrid.dilated(2))
         assert vol.scores.tobytes() == _oracle(feat_a, feat_b, 2, full=True).tobytes()
 
+    def test_lone_pixel_sums_channels_in_order(self):
+        # 0.1 + 0.1 + 0.1 + 1000 is 1000.3 in order, but 1000.3000000000001
+        # in pairs, as einsum sums the channels of a 1x1 region.
+        feat_a = np.array([0.1, 0.1, 0.1, 1e3]).reshape(4, 1, 1)
+        vol = correlate(feat_a, np.ones((4, 1, 1)), SearchGrid.dilated(0))
+        assert vol.scores.tobytes() == _oracle(feat_a, np.ones((4, 1, 1)), 0).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), radius=st.integers(0, 4), full=st.booleans())
     def test_matches_naive_oracle_bytes(self, data, radius, full):

@@ -12,6 +12,7 @@ from evmeshflow import (
     MeshGridSpec,
     cdc_fuse,
     downsample_to_mesh,
+    propagate,
     seeded_rng,
     upsample_flow_bilinear,
 )
@@ -174,15 +175,21 @@ def test_tiles_match_scalar_oracle_bytes(tile, case):
         [scalar_bilinear_sample(p, xs.ravel(), ys.ravel(), False).reshape(xs.shape) for p in values]
     )
     field = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+    # The same channels-last field as a strided view of a wider buffer.
+    wide = np.zeros(field.shape[:2] + (2 * len(values),))
+    wide[..., ::2] = field
+    want_last = np.moveaxis(want, 0, -1)
     with mock.patch.object(sampling, "_TILE", tile):
         got = bilinear_sample(values, x, y)
         plane = bilinear_sample(values[0], x, y)
         last = _sample_channels_last(field, x, y)
+        strided = _sample_channels_last(wide[..., ::2], x, y)
         per_channel = np.stack([bilinear_sample(field[..., c], x, y) for c in range(len(values))], -1)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert plane.shape == want.shape[1:] and plane.tobytes() == want[0].tobytes()
     assert last.flags.c_contiguous and last.shape == per_channel.shape
-    assert last.tobytes() == per_channel.tobytes()
+    assert last.tobytes() == per_channel.tobytes() == want_last.tobytes()
+    assert strided.shape == last.shape and strided.tobytes() == last.tobytes()
 
 
 def test_dense_call_builds_no_full_size_temporaries():
@@ -198,3 +205,14 @@ def test_dense_call_builds_no_full_size_temporaries():
     y = ys + rng.uniform(-3.0, 3.0, (256, 256))
     out, peak = traced_peak(bilinear_sample, values, x, y)
     assert peak <= out.nbytes + 2 * 2**20
+
+
+def test_channels_last_field_is_read_in_place():
+    """propagate samples a 256x256 flow without copying it into planes.
+
+    Its peak stays below its output plus 64 KiB; a (2, H, W) copy of the
+    flow alone would add 1 MiB.
+    """
+    flow = seeded_rng(6).standard_normal((256, 256, 2))
+    out, peak = traced_peak(propagate, flow, MeshGridSpec())
+    assert peak <= out.nbytes + 2**16
