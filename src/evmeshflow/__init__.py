@@ -42,6 +42,7 @@ from .events import (
     temporal_guided_subsample,
 )
 from .io import (
+    Evt1File,
     flow_to_color,
     read_evt1,
     read_flo1,

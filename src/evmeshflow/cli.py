@@ -226,7 +226,11 @@ def cmd_select(cfg, out: Path, seed: int):
             raise ParameterError("at least one candidate stream required")
         flow_path = Path(_require(cfg, "flow"))
     with _stage("load"):
-        candidates = [io.read_evt1(p) for p in paths]
+        # A bad candidate fails here, with read_evt1's message; scoring then
+        # reads each file again, block by block.
+        candidates = [io.Evt1File(path) for path in paths]
+        for candidate in candidates:
+            candidate.check()
         flow = io.read_flo1(flow_path)
     with _stage("select"):
         # EVT1 stores no span, so an empty stream reads back as [0, 0]: only

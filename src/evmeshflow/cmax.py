@@ -16,7 +16,12 @@ event-sized arrays are a call's outputs and the splat's inputs:
 cells are int32 on any sensor below 2**31 padded pixels); and
 `two_sided_components` warps each block straight into the fraction arrays
 and never holds event-sized positions, so it too needs 20 bytes per event.
-Each event is warped once per endpoint.  `_splat` adds corner by corner,
+The warps read their events through `blocks()`, which an `EventStream`
+serves from its arrays and an `io.Evt1File` from its file, one block of
+records at a time; so `two_sided_components` and `select_best` score an
+EVT1 file without loading it, holding only those 20 bytes per event of
+the candidate being scored.  Each event is warped once per endpoint, so
+scoring a file reads it twice.  `_splat` adds corner by corner,
 each corner over the blocks in event order, which is the order of the
 whole-array form, so every pixel sums the same terms in the same order and
 the image's bytes depend neither on the block size nor on the caller.
@@ -55,15 +60,15 @@ def _check_warp(stream, flow, t_ref, t_i, t_j):
     return flow.reshape(-1, 2), float(t_j - t_i)
 
 
-def _warp_block(stream, flat, s, t_ref, length, xw, yw):
-    """Write the positions of the events in slice s at t_ref into xw and yw."""
-    factor = (t_ref - stream.t[s].astype(np.float64)) / length
-    pix = stream.y[s].astype(np.int64) * stream.width + stream.x[s]
+def _warp_block(x, y, t, width, flat, t_ref, length, xw, yw):
+    """Write the positions at t_ref of a block's events (x, y, t) into xw and yw."""
+    factor = (t_ref - t.astype(np.float64)) / length
+    pix = y.astype(np.int64) * width + x
     fx, fy = np.take(flat, pix, axis=0).T
     np.multiply(factor, fx, out=xw)
-    xw += stream.x[s]
+    xw += x
     np.multiply(factor, fy, out=yw)
-    yw += stream.y[s]
+    yw += y
 
 
 def _cell_dtype(width, height):
@@ -125,8 +130,8 @@ def warp_events(
     flat, length = _check_warp(stream, flow, t_ref, t_i, t_j)
     n = len(stream)
     xw, yw = np.empty(n), np.empty(n)
-    for s in _blocks(n):
-        _warp_block(stream, flat, s, t_ref, length, xw[s], yw[s])
+    for s, x, y, t, _ in stream.blocks():
+        _warp_block(x, y, t, stream.width, flat, t_ref, length, xw[s], yw[s])
     return WarpedEvents(xw, yw, stream.width, stream.height)
 
 
@@ -162,6 +167,9 @@ def two_sided_components(
     t_j)))` at t_ref = t_i and t_j, byte for byte, and raises as
     `warp_events` does; each block is warped into the fraction arrays and
     turned into cells in place, so no event-sized positions are held.
+    `stream` may be an `io.Evt1File`, whose walk reads the file once per
+    endpoint and raises FormatError on a record it rejects; the result is
+    that of the stream `read_evt1` gives.
     """
     flat, length = _check_warp(stream, flow, t_i, t_i, t_j)
     w, h = stream.width, stream.height
@@ -170,8 +178,8 @@ def two_sided_components(
     fx, fy = np.empty(n), np.empty(n)
     parts = []
     for t_ref in (t_i, t_j):
-        for s in _blocks(n):
-            _warp_block(stream, flat, s, t_ref, length, fx[s], fy[s])
+        for s, x, y, t, _ in stream.blocks():
+            _warp_block(x, y, t, w, flat, t_ref, length, fx[s], fy[s])
             _cell_block(fx[s], fy[s], w, h, cell[s], fx[s], fy[s])
         parts.append(contrast(_splat(cell, fx, fy, w, h)))
     return parts[0], parts[1]
@@ -186,7 +194,9 @@ def select_best(
     """The best candidate's index, and every candidate's (var_i, var_j).
 
     Candidates rank by var_i + var_j from `two_sided_components`; ties
-    resolve to the lowest index.
+    resolve to the lowest index.  Candidates are streams or `io.Evt1File`
+    handles, mixed as needed; handles are scored one at a time from their
+    files.
     """
     if not candidates:
         raise ParameterError("at least one candidate stream required")

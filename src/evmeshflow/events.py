@@ -21,6 +21,8 @@ Every event-sized loop of the package (decoding sort keys here, voxels,
 warping and splatting in `cmax`, EVT1 records in `io`) walks the events in
 consecutive blocks of `_BLOCK` events from `_blocks`, so its temporaries are
 block-sized and stay in cache; a stream of at most one block is one block.
+`EventStream.blocks` yields those blocks of a stream's arrays, as
+`io.Evt1File.blocks` does of a file's records.
 Each event's result depends on that event alone, and every accumulation
 still adds its terms pass by pass in event order, so the bytes do not
 depend on the block size.
@@ -117,6 +119,11 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def blocks(self):
+        """Yield (s, x, y, t, p) for each `_blocks` slice s of the events, as views."""
+        for s in _blocks(len(self)):
+            yield s, self.x[s], self.y[s], self.t[s], self.p[s]
 
     def select(self, mask: np.ndarray) -> "EventStream":
         """Subset of the stream; order and time span are preserved."""

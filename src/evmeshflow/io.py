@@ -8,7 +8,12 @@ malformed input rather than guessing.
 EVT1 records are written and read in blocks of `events._BLOCK` events
 through one reused record buffer, so neither direction builds an (N,)
 record array or holds the file's bytes; a record's fields depend on that
-record alone, so the bytes do not depend on the block size.
+record alone, so the bytes do not depend on the block size.  `read_evt1`
+decodes the blocks into one stream; `Evt1File` hands them out one at a
+time, each checked as a stream of its own, so a file can be checked and
+scored without holding its events.  Both go through one header reader
+and one record decoder, and turn a failed stream check into the same
+FormatError.
 """
 
 import csv
@@ -33,6 +38,8 @@ _EVT1_RECORD = np.dtype(
         "itemsize": 16,
     }
 )
+# The dtypes of a decoded stream's x, y, t and p.
+_EVT1_COLUMNS = (np.int32, np.int32, np.int64, np.int8)
 _F32_HEADER = struct.Struct("<4s2I")  # magic, then two uint32 dims
 
 
@@ -55,6 +62,61 @@ def write_evt1(path, stream: EventStream) -> None:
             fh.write(records)
 
 
+def _read_evt1_header(fh) -> tuple[int, int, int]:
+    """Read an open EVT1 file's header: (width, height, count).
+
+    The payload size is checked against the count from the file size, so
+    nothing is allocated for records the file does not hold.
+    """
+    header = fh.read(_EVT1_HEADER.size)
+    if len(header) < _EVT1_HEADER.size:
+        raise FormatError("EVT1 file truncated before header")
+    magic, width, height, count = _EVT1_HEADER.unpack(header)
+    if magic != b"EVT1":
+        raise FormatError(f"bad EVT1 magic {magic!r}")
+    payload = os.fstat(fh.fileno()).st_size - _EVT1_HEADER.size
+    if payload != count * _EVT1_RECORD.itemsize:
+        raise FormatError("EVT1 payload size does not match header count")
+    return width, height, count
+
+
+def _read_records(fh, records) -> None:
+    """Fill a record array from the file's position."""
+    # Short only if the file shrank since its size was checked.
+    if fh.readinto(records) != records.nbytes:
+        raise FormatError("EVT1 payload size does not match header count")
+
+
+def _decoded_blocks(fh, count: int, columns=None):
+    """Yield (s, x, y, t, p) for each `_blocks` slice s of the next count records.
+
+    Every block is read into one reused record buffer, and its fields are
+    copied into int32 x and y, int64 t and int8 p: into slice s of the
+    (count,) arrays `columns` when given, else into one reused block of
+    each, which holds only until the next block is read.
+    """
+    size = min(count, events._BLOCK)
+    buffer = np.empty(size, dtype=_EVT1_RECORD)
+    reused = columns is None
+    if reused:
+        columns = [np.empty(size, dtype=dtype) for dtype in _EVT1_COLUMNS]
+    for s in _blocks(count):
+        records = buffer[: s.stop - s.start]
+        _read_records(fh, records)
+        block = [c[: len(records)] if reused else c[s] for c in columns]
+        for name, column in zip("xytp", block):
+            column[...] = records[name]
+        yield s, *block
+
+
+def _checked_events(x, y, t, p, width, height, t_start, t_end) -> EventStream:
+    """The events as a stream; any check that fails raises FormatError."""
+    try:
+        return EventStream(x, y, t, p, width, height, t_start, t_end)
+    except (DataError, ParameterError) as exc:
+        raise FormatError(f"bad EVT1 records: {exc}") from exc
+
+
 def read_evt1(path) -> EventStream:
     """Read a `write_evt1` file.
 
@@ -63,32 +125,79 @@ def read_evt1(path) -> EventStream:
     block into one reused buffer and copied into the stream's arrays.
     """
     with open(path, "rb") as fh:
-        header = fh.read(_EVT1_HEADER.size)
-        if len(header) < _EVT1_HEADER.size:
-            raise FormatError("EVT1 file truncated before header")
-        magic, width, height, count = _EVT1_HEADER.unpack(header)
-        if magic != b"EVT1":
-            raise FormatError(f"bad EVT1 magic {magic!r}")
-        payload = os.fstat(fh.fileno()).st_size - _EVT1_HEADER.size
-        if payload != count * _EVT1_RECORD.itemsize:
-            raise FormatError("EVT1 payload size does not match header count")
-        x, y = np.empty(count, dtype=np.int32), np.empty(count, dtype=np.int32)
-        t, p = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int8)
-        buffer = np.empty(min(count, events._BLOCK), dtype=_EVT1_RECORD)
-        for s in _blocks(count):
-            records = buffer[: s.stop - s.start]
-            # Short only if the file shrank since its size was checked.
-            if fh.readinto(records) != records.nbytes:
-                raise FormatError("EVT1 payload size does not match header count")
-            x[s], y[s], t[s], p[s] = records["x"], records["y"], records["t"], records["p"]
-    try:
-        return EventStream(
-            x, y, t, p, width, height,
-            int(t[0]) if count else 0,
-            int(t[-1]) if count else 0,
+        width, height, count = _read_evt1_header(fh)
+        x, y, t, p = columns = [np.empty(count, dtype=dtype) for dtype in _EVT1_COLUMNS]
+        for _ in _decoded_blocks(fh, count, columns):
+            pass
+    return _checked_events(
+        x, y, t, p, width, height, int(t[0]) if count else 0, int(t[-1]) if count else 0
+    )
+
+
+class Evt1File:
+    """An EVT1 file read lazily: its header on open, its records block by block.
+
+    Opening reads the header, checks the payload size and reads the first
+    and last records, so `width`, `height`, `len`, `t_start` and `t_end`
+    are those of `read_evt1(path)`.  The two records are checked as a
+    stream of their own, so a file that `read_evt1` rejects for its header
+    or its ends does not open.  `blocks` walks the records the way
+    `EventStream.blocks` walks a stream's arrays, so the scoring in `cmax`
+    takes either, and holds one block of records at a time.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            self.width, self.height, self._count = _read_evt1_header(fh)
+            ends = np.empty(min(self._count, 2), dtype=_EVT1_RECORD)
+            if self._count:
+                _read_records(fh, ends[:1])
+                fh.seek(-_EVT1_RECORD.itemsize, os.SEEK_END)
+                _read_records(fh, ends[-1:])
+        t = ends["t"]
+        self.t_start, self.t_end = (int(t[0]), int(t[-1])) if self._count else (0, 0)
+        _checked_events(
+            ends["x"], ends["y"], t, ends["p"], self.width, self.height, self.t_start, self.t_end
         )
-    except (DataError, ParameterError) as exc:
-        raise FormatError(f"bad EVT1 records: {exc}") from exc
+
+    def __len__(self) -> int:
+        return self._count
+
+    def check(self) -> None:
+        """Walk every block, and raise `read_evt1`'s FormatError if one is rejected.
+
+        A walk stops at the first bad block, while `read_evt1` reports the
+        first check its whole stream fails, and on a file with two defects
+        the two can differ; so on a failure the file is read whole, once,
+        for `read_evt1`'s error.
+        """
+        try:
+            for _ in self.blocks():
+                pass
+        except FormatError:
+            read_evt1(self.path)
+            raise
+
+    def blocks(self):
+        """Yield (s, x, y, t, p) for each `_blocks` slice s of the records.
+
+        Each block is checked as `read_evt1` checks a whole stream, against
+        the span read on open, and each block's first time against the
+        previous block's last, so a file that changed since it was opened
+        raises FormatError.  A block's arrays are reused: they hold until
+        the walk moves on.
+        """
+        with open(self.path, "rb") as fh:
+            if _read_evt1_header(fh) != (self.width, self.height, self._count):
+                raise FormatError("EVT1 header changed since the file was opened")
+            last = self.t_start
+            for s, x, y, t, p in _decoded_blocks(fh, self._count):
+                _checked_events(x, y, t, p, self.width, self.height, self.t_start, self.t_end)
+                if t[0] < last:
+                    raise FormatError("bad EVT1 records: events must be sorted by timestamp")
+                last = t[-1]
+                yield s, x, y, t, p
 
 
 def _write_f32(path, magic: bytes, dims, values) -> None:

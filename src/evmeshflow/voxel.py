@@ -29,13 +29,15 @@ def voxelize(stream: EventStream, bins: int = 5) -> np.ndarray:
     one timestamp puts all mass in bin 0.
     """
     bins = _check_int(bins, "bins", 1)
-    # Both terms of every event go in unmasked: a zero upper weight adds
-    # +-0.0, which leaves a cell unchanged, and the upper terms of the last
-    # bin land in the spare plane `bins`.
-    grid = np.zeros((bins + 1, stream.height, stream.width))
+    # Both terms of every event go in unmasked.  Only an event whose coord
+    # is exactly bins - 1 has lower bin bins - 1, and its upper weight is
+    # exactly 0, so its upper term is clamped into that bin: adding +-0.0
+    # leaves a cell unchanged, because a cell that starts at +0.0 never
+    # becomes -0.0 under round-to-nearest addition.
+    grid = np.zeros((bins, stream.height, stream.width))
     n = len(stream)
     if n == 0:
-        return grid[:bins]
+        return grid
     t0 = stream.t[0]
     # When every event shares one time, each coord is 0 / 1.0 * (bins - 1) = +0.0.
     span = float(stream.t[-1] - t0) or 1.0
@@ -50,8 +52,8 @@ def voxelize(stream: EventStream, bins: int = 5) -> np.ndarray:
                 weight = 1.0 - weight
             weight *= stream.p[s]
             pix = stream.y[s].astype(np.int64) * stream.width + stream.x[s]
-            np.add.at(flat, (b0 + upper) * plane + pix, weight)
-    return grid[:bins]
+            np.add.at(flat, np.minimum(b0 + upper, bins - 1) * plane + pix, weight)
+    return grid
 
 
 def density(grid: np.ndarray) -> float:

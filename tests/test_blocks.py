@@ -9,6 +9,10 @@ Each result must equal the unpatched (one-block) result and the scalar
 oracle byte for byte.
 """
 
+import contextlib
+import io
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from _peak import traced_peak
 from evmeshflow import (
     DataError,
     EventStream,
+    Evt1File,
     FormatError,
     ParameterError,
     ShapeError,
@@ -26,12 +31,15 @@ from evmeshflow import (
     multi_density_sweep,
     read_evt1,
     seeded_rng,
+    select_best,
     two_sided_components,
     voxelize,
     warp_events,
     write_evt1,
+    write_flo1,
 )
 from evmeshflow import cmax, events
+from evmeshflow.cli import main
 
 _CASES = [
     pytest.param(block, n, id=f"B{block}-n{n}")
@@ -123,6 +131,69 @@ def test_two_sided_components_blocks(monkeypatch, block, n):
     monkeypatch.setattr(events, "_BLOCK", block)
     assert raw(two_sided_components(stream, flow, 10, 50)) == whole
     assert raw(separate()) == whole
+
+
+@pytest.mark.parametrize("block, n", _CASES)
+def test_two_sided_components_reads_files_as_streams(tmp_path, monkeypatch, block, n):
+    """An EVT1 file scores block by block as its stream scores in memory."""
+    stream = _stream(n)
+    path = tmp_path / "events.evt1"
+    write_evt1(path, stream)
+    flow = seeded_rng(9).uniform(-3.0, 3.0, size=(4, 5, 2))
+    flow[1, 2] = (40.0, -40.0)
+    flow[2, 1] = (1e7, 3.0)
+
+    def raw(values):
+        return [np.float64(v).tobytes() for v in values]
+
+    whole = raw(two_sided_components(stream, flow, 10, 50))
+    monkeypatch.setattr(events, "_BLOCK", block)
+    handle = Evt1File(path)
+    back = read_evt1(path)
+    assert (handle.width, handle.height, len(handle)) == (back.width, back.height, len(back))
+    assert (handle.t_start, handle.t_end) == (back.t_start, back.t_end)
+    for (s, *got), (want_s, *want) in zip(handle.blocks(), back.blocks(), strict=True):
+        assert s == want_s
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert raw(two_sided_components(handle, flow, 10, 50)) == whole
+    best, components = select_best([handle, stream], flow, 10, 50)
+    assert best == 0 and raw(components[0]) == raw(components[1]) == whole
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value, message",
+    [
+        (16 + 16 * 7 + 12, "<b", 0, "polarities"),
+        (16 + 16 * 7 + 4, "<q", 10**6, "outside"),
+        (16 + 16 * 3 + 4, "<q", 21, "sorted"),
+        (16 + 16 * 5, "<H", 5, "outside the sensor"),
+        (8, "<Q", 9, "header changed"),
+        (0, "<4s", b"EVT2", "magic"),
+    ],
+    ids=["p=0", "t-past-span", "unsorted-across-blocks", "x=width", "count", "magic"],
+)
+def test_file_rewritten_after_open_fails_in_the_walk(
+    tmp_path, monkeypatch, offset, fmt, value, message
+):
+    # Blocks of 3 records, so records 2 and 3 sit on either side of a block
+    # edge; record k sits at byte 16 + 16k, its t at + 4 and its p at + 12.
+    monkeypatch.setattr(events, "_BLOCK", 3)
+    stream = EventStream(
+        np.arange(8) % 5, np.arange(8) % 4, np.arange(8) + 20, np.ones(8, dtype=np.int8), 5, 4, 20, 27
+    )
+    path = tmp_path / "events.evt1"
+    write_evt1(path, stream)
+    handle = Evt1File(path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, offset, value)
+    # A count of 9 gets past the payload size check with a ninth record.
+    path.write_bytes(bytes(blob) + bytes(16 * (message == "header changed")))
+    with pytest.raises(FormatError, match=message):
+        two_sided_components(handle, np.zeros((4, 5, 2)), 20, 27)
+    # So does a file that shrank.
+    path.write_bytes(bytes(blob[:-16]))
+    with pytest.raises(FormatError):
+        list(handle.blocks())
 
 
 @pytest.mark.parametrize(
@@ -239,8 +310,8 @@ def _big_stream(width=64, height=48):
 def test_voxelize_holds_grid_and_blocks():
     stream = _big_stream()
     grid, peak = traced_peak(voxelize, stream, 5)
-    # The grid has a spare plane; a block's few float64 and int64 temporaries.
-    assert peak <= grid.nbytes * 6 // 5 + 8 * 8 * events._BLOCK
+    # The grid, and a block's few float64 and int64 temporaries.
+    assert peak <= grid.nbytes + 8 * 8 * events._BLOCK
 
 
 def test_read_evt1_holds_stream_and_one_block(tmp_path):
@@ -271,6 +342,27 @@ def test_two_sided_components_holds_cells_fractions_and_blocks():
     padded = (stream.height + 2) * (stream.width + 2) * 8
     # The cells and fractions of accumulate_iwe, and no warped positions.
     assert peak <= 20 * _N + padded + 8 * 8 * events._BLOCK
+
+
+def test_cli_select_holds_one_candidate_at_a_time(tmp_path):
+    """Scoring reads each file block by block, so no candidate stream is held."""
+    big = _big_stream()
+    paths = []
+    for k, n in enumerate((_N // 4, _N, _N // 2)):
+        paths.append(tmp_path / f"c{k}.evt1")
+        write_evt1(paths[-1], big.select(np.arange(_N) < n))
+    flow = seeded_rng(6).uniform(-4.0, 4.0, size=(big.height, big.width, 2))
+    write_flo1(tmp_path / "flow.flo1", flow)
+    argv = [
+        "select", "--out", str(tmp_path / "out"),
+        "candidates=" + ",".join(map(str, paths)), f"flow={tmp_path / 'flow.flo1'}",
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, peak = traced_peak(main, argv)
+    assert code == 0
+    # The largest candidate's cells and fractions, the flow, a block's
+    # temporaries and the image.
+    assert peak <= 20 * _N + flow.nbytes + 8 * 8 * events._BLOCK + 2**20
 
 
 def test_sorted_events_decodes_times_into_the_key():

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -14,8 +15,12 @@ from hypothesis import strategies as st
 
 import evmeshflow.cli
 import evmeshflow.cmax
+import evmeshflow.events
+import evmeshflow.io
 from evmeshflow import (
     EventStream,
+    Evt1File,
+    FormatError,
     MotionSpec,
     Scene,
     adaptive_timestamps,
@@ -441,6 +446,82 @@ class TestSelect:
                 [str(k), repr(a), repr(b), repr(a + b)] for k, (a, b) in enumerate(components)
             ]
             assert (root / "out" / "selected.txt").read_text() == f"{best}\n"
+
+    @pytest.mark.parametrize(
+        "defect",
+        ["bad-magic", "short-payload", "unsorted-across-blocks", "x=width", "p=0"],
+    )
+    def test_malformed_candidate_fails_in_load_stage(self, tmp_path, capsys, monkeypatch, defect):
+        """Each bad file fails in [load] with read_evt1's own message."""
+        # Blocks of 8 records; record k sits at byte 16 + 16k, with x at + 0,
+        # t at + 4 and p at + 12.
+        monkeypatch.setattr(evmeshflow.events, "_BLOCK", 8)
+        _make_candidates(tmp_path)
+        blob = bytearray((tmp_path / "coherent.evt1").read_bytes())
+        if defect == "bad-magic":
+            blob[:4] = b"EVT0"
+        elif defect == "short-payload":
+            del blob[-5:]
+        elif defect == "unsorted-across-blocks":
+            # The second block starts just before the first one ends.
+            (t7,) = struct.unpack_from("<q", blob, 16 + 16 * 7 + 4)
+            struct.pack_into("<q", blob, 16 + 16 * 8 + 4, t7 - 1)
+        elif defect == "x=width":
+            struct.pack_into("<H", blob, 16 + 16 * 5, 32)
+        else:
+            struct.pack_into("<b", blob, 16 + 16 * 2 + 12, 0)
+        path = tmp_path / "bad.evt1"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as want:
+            read_evt1(path)
+        code, _, stderr = _run(
+            capsys, "select", "--out", tmp_path / "out",
+            f"candidates={tmp_path / 'coherent.evt1'},{path}",
+            f"flow={tmp_path / 'flow.flo1'}",
+        )
+        assert code == 1
+        assert stderr == f"error [load]: {want.value}\n"
+        assert not (tmp_path / "out" / "scores.csv").exists()
+
+    def test_two_defects_fail_with_the_whole_stream_message(self, tmp_path, capsys, monkeypatch):
+        # A polarity of 0 in the first block and an x off the sensor in the
+        # second: the walk meets the polarity first, read_evt1 checks the
+        # coordinates first, and load reports read_evt1's message.
+        monkeypatch.setattr(evmeshflow.events, "_BLOCK", 8)
+        _make_candidates(tmp_path)
+        blob = bytearray((tmp_path / "coherent.evt1").read_bytes())
+        struct.pack_into("<b", blob, 16 + 16 * 2 + 12, 0)
+        struct.pack_into("<H", blob, 16 + 16 * 13, 40)
+        path = tmp_path / "bad.evt1"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="polarities"):
+            list(Evt1File(path).blocks())
+        code, _, stderr = _run(
+            capsys, "select", "--out", tmp_path / "out",
+            f"candidates={path}", f"flow={tmp_path / 'flow.flo1'}",
+        )
+        assert code == 1
+        assert stderr == "error [load]: bad EVT1 records: event coordinates outside the sensor\n"
+
+    def test_candidate_rewritten_after_load_fails_in_select(self, tmp_path, capsys, monkeypatch):
+        _make_candidates(tmp_path)
+        path = tmp_path / "coherent.evt1"
+        read_flo1 = evmeshflow.io.read_flo1
+
+        def rewrite_then_read(flow_path):
+            # Runs after the candidates were checked and opened.
+            blob = bytearray(path.read_bytes())
+            struct.pack_into("<b", blob, 16 + 16 * 3 + 12, 0)
+            path.write_bytes(bytes(blob))
+            return read_flo1(flow_path)
+
+        monkeypatch.setattr(evmeshflow.io, "read_flo1", rewrite_then_read)
+        code, _, stderr = _run(
+            capsys, "select", "--out", tmp_path / "out",
+            f"candidates={path}", f"flow={tmp_path / 'flow.flo1'}",
+        )
+        assert code == 1
+        assert stderr == "error [select]: bad EVT1 records: polarities must be -1 or +1\n"
 
     def test_no_candidates_fails_in_config_stage(self, tmp_path, capsys):
         _make_candidates(tmp_path)

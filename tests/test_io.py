@@ -10,6 +10,7 @@ from _peak import traced_peak
 from evmeshflow import (
     DataError,
     EventStream,
+    Evt1File,
     FormatError,
     ParameterError,
     ShapeError,
@@ -120,6 +121,9 @@ class TestEvt1:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=message):
             read_evt1(path)
+        # Every record is in one block, which the walk checks the same way.
+        with pytest.raises(FormatError, match=message):
+            list(Evt1File(path).blocks())
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 9])
     def test_chunked_records_match_the_layout(self, tmp_path, monkeypatch, n):
@@ -345,9 +349,15 @@ class TestFloat32Containers:
             read(path)
 
 
+def _walk_evt1(path):
+    return [[a.copy() for a in arrays] for _, *arrays in Evt1File(path).blocks()]
+
+
+_EVT1_FUZZ = EventStream([1, 3], [2, 0], [5, 9], [1, -1], 4, 3, 0, 9)
 # Reader, writer of a small valid file, and the file's header length.
 _FUZZ_FORMATS = {
-    "EVT1": (read_evt1, write_evt1, EventStream([1, 3], [2, 0], [5, 9], [1, -1], 4, 3, 0, 9), 16),
+    "EVT1": (read_evt1, write_evt1, _EVT1_FUZZ, 16),
+    "EVT1-walk": (_walk_evt1, write_evt1, _EVT1_FUZZ, 16),
     "FLO1": (read_flo1, write_flo1, np.ones((2, 3, 2)), 12),
     "MSH1": (read_msh1, write_msh1, np.ones((2, 3, 2)), 12),
     "PGM": (read_pgm, write_pgm, np.ones((2, 3)), 13),

@@ -115,6 +115,21 @@ def _tied_streams(draw):
     return EventStream(x, y, t, p, width, height, t_start, t_start + span)
 
 
+@pytest.mark.parametrize("bins", [1, 2, 5])
+@pytest.mark.parametrize(
+    "t", [[], [7], [3, 3, 3], [0, 250, 1000, 1000]], ids=["empty", "one", "one-time", "last-bin"]
+)
+def test_grid_owns_exactly_bins_planes(bins, t):
+    # The last two events sit exactly on the last bin, whose upper term has
+    # weight 0; cancelling polarities leave +0.0 in their cell.
+    n = len(t)
+    stream = _stream([1] * n, [2] * n, t, [1, -1, 1, -1][:n])
+    grid = voxelize(stream, bins)
+    assert grid.shape == (bins, 4, 4)
+    assert grid.base is None
+    assert grid.tobytes() == scalar_voxelize(stream, bins).tobytes()
+
+
 class TestVoxelizeOracle:
     @settings(max_examples=150, deadline=None)
     @given(stream=_tied_streams(), bins=st.integers(1, 9))
