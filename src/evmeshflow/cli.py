@@ -226,11 +226,13 @@ def cmd_select(cfg, out: Path, seed: int):
             raise ParameterError("at least one candidate stream required")
         flow_path = Path(_require(cfg, "flow"))
     with _stage("load"):
-        # A bad candidate fails here, with read_evt1's message; scoring then
-        # reads each file again, block by block.
-        candidates = [io.Evt1File(path) for path in paths]
-        for candidate in candidates:
-            candidate.check()
+        # Each candidate is read and checked whole, one at a time, so a bad
+        # file fails here with read_evt1's message; the stream is dropped,
+        # and scoring reads the file again, block by block.
+        candidates = []
+        for path in paths:
+            io.read_evt1(path)
+            candidates.append(io.Evt1File(path))
         flow = io.read_flo1(flow_path)
     with _stage("select"):
         # EVT1 stores no span, so an empty stream reads back as [0, 0]: only

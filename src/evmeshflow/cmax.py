@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ParameterError, _check_flow, _check_image
 from .events import EventStream, _blocks
+from .io import Evt1File
 
 
 @dataclass
@@ -156,7 +157,7 @@ def contrast(image: np.ndarray) -> float:
 
 
 def two_sided_components(
-    stream: EventStream,
+    stream: EventStream | Evt1File,
     flow: np.ndarray,
     t_i: float,
     t_j: float,
@@ -186,7 +187,7 @@ def two_sided_components(
 
 
 def select_best(
-    candidates: list[EventStream],
+    candidates: list[EventStream | Evt1File],
     flow: np.ndarray,
     t_i: float,
     t_j: float,

@@ -10,9 +10,9 @@ through one reused record buffer, so neither direction builds an (N,)
 record array or holds the file's bytes; a record's fields depend on that
 record alone, so the bytes do not depend on the block size.  `read_evt1`
 decodes the blocks into one stream; `Evt1File` hands them out one at a
-time, each checked as a stream of its own, so a file can be checked and
-scored without holding its events.  Both go through one header reader
-and one record decoder, and turn a failed stream check into the same
+time, each checked as a stream of its own, so a file can be scored
+without holding its events.  Both go through one header reader and one
+record decoder, and turn a failed stream check into the same
 FormatError.
 """
 
@@ -139,11 +139,12 @@ class Evt1File:
 
     Opening reads the header, checks the payload size and reads the first
     and last records, so `width`, `height`, `len`, `t_start` and `t_end`
-    are those of `read_evt1(path)`.  The two records are checked as a
-    stream of their own, so a file that `read_evt1` rejects for its header
-    or its ends does not open.  `blocks` walks the records the way
+    are those of `read_evt1(path)`.  `blocks` walks the records the way
     `EventStream.blocks` walks a stream's arrays, so the scoring in `cmax`
-    takes either, and holds one block of records at a time.
+    takes either, and holds one block of records at a time.  Records are
+    checked only as the walk meets them, and a walk stops at the first bad
+    block, so on a file with two defects its message can differ from
+    `read_evt1`'s; call `read_evt1` first to check a file whole.
     """
 
     def __init__(self, path):
@@ -157,27 +158,9 @@ class Evt1File:
                 _read_records(fh, ends[-1:])
         t = ends["t"]
         self.t_start, self.t_end = (int(t[0]), int(t[-1])) if self._count else (0, 0)
-        _checked_events(
-            ends["x"], ends["y"], t, ends["p"], self.width, self.height, self.t_start, self.t_end
-        )
 
     def __len__(self) -> int:
         return self._count
-
-    def check(self) -> None:
-        """Walk every block, and raise `read_evt1`'s FormatError if one is rejected.
-
-        A walk stops at the first bad block, while `read_evt1` reports the
-        first check its whole stream fails, and on a file with two defects
-        the two can differ; so on a failure the file is read whole, once,
-        for `read_evt1`'s error.
-        """
-        try:
-            for _ in self.blocks():
-                pass
-        except FormatError:
-            read_evt1(self.path)
-            raise
 
     def blocks(self):
         """Yield (s, x, y, t, p) for each `_blocks` slice s of the records.

@@ -19,7 +19,6 @@ import evmeshflow.events
 import evmeshflow.io
 from evmeshflow import (
     EventStream,
-    Evt1File,
     FormatError,
     MotionSpec,
     Scene,
@@ -483,25 +482,61 @@ class TestSelect:
         assert stderr == f"error [load]: {want.value}\n"
         assert not (tmp_path / "out" / "scores.csv").exists()
 
-    def test_two_defects_fail_with_the_whole_stream_message(self, tmp_path, capsys, monkeypatch):
-        # A polarity of 0 in the first block and an x off the sensor in the
-        # second: the walk meets the polarity first, read_evt1 checks the
-        # coordinates first, and load reports read_evt1's message.
+    @pytest.mark.parametrize(
+        "defects, message",
+        [
+            # A polarity of 0 in the first block and an x off the sensor in
+            # the second: a walk meets the polarity first, read_evt1 checks
+            # the coordinates first.
+            ([(2, 12, "<b", 0), (13, 0, "<H", 40)], "event coordinates outside the sensor"),
+            # The same with the polarity in the first record, which the
+            # handle reads on open.
+            ([(0, 12, "<b", 0), (13, 0, "<H", 40)], "event coordinates outside the sensor"),
+            # Times out of order in the middle and an x off the sensor in the
+            # last record: read_evt1 checks the order first.
+            ([(5, 4, "<q", -1), (-1, 0, "<H", 40)], "events must be sorted by timestamp"),
+        ],
+        ids=["p=0-then-x", "first-record-p=0-then-x", "unsorted-then-last-x"],
+    )
+    def test_two_defects_fail_with_the_whole_stream_message(
+        self, tmp_path, capsys, monkeypatch, defects, message
+    ):
+        # Blocks of 8 records; record k sits at byte 16 + 16k, with x at + 0,
+        # t at + 4 and p at + 12.
         monkeypatch.setattr(evmeshflow.events, "_BLOCK", 8)
         _make_candidates(tmp_path)
         blob = bytearray((tmp_path / "coherent.evt1").read_bytes())
-        struct.pack_into("<b", blob, 16 + 16 * 2 + 12, 0)
-        struct.pack_into("<H", blob, 16 + 16 * 13, 40)
+        count = (len(blob) - 16) // 16
+        for record, field, fmt, value in defects:
+            struct.pack_into(fmt, blob, 16 + 16 * (record % count) + field, value)
         path = tmp_path / "bad.evt1"
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="polarities"):
-            list(Evt1File(path).blocks())
+        with pytest.raises(FormatError, match=message):
+            read_evt1(path)
         code, _, stderr = _run(
             capsys, "select", "--out", tmp_path / "out",
             f"candidates={path}", f"flow={tmp_path / 'flow.flo1'}",
         )
         assert code == 1
-        assert stderr == "error [load]: bad EVT1 records: event coordinates outside the sensor\n"
+        assert stderr == f"error [load]: bad EVT1 records: {message}\n"
+
+    def test_first_bad_candidate_in_order_names_the_error(self, tmp_path, capsys):
+        # The first candidate is bad in a middle record, the second in its
+        # magic: load checks the candidates in order and reports the first.
+        _make_candidates(tmp_path)
+        blob = bytearray((tmp_path / "coherent.evt1").read_bytes())
+        struct.pack_into("<b", blob, 16 + 16 * 5 + 12, 0)
+        (tmp_path / "bad_p.evt1").write_bytes(bytes(blob))
+        blob = bytearray((tmp_path / "coherent.evt1").read_bytes())
+        blob[:4] = b"EVT0"
+        (tmp_path / "bad_magic.evt1").write_bytes(bytes(blob))
+        code, _, stderr = _run(
+            capsys, "select", "--out", tmp_path / "out",
+            f"candidates={tmp_path / 'bad_p.evt1'},{tmp_path / 'bad_magic.evt1'}",
+            f"flow={tmp_path / 'flow.flo1'}",
+        )
+        assert code == 1
+        assert stderr == "error [load]: bad EVT1 records: polarities must be -1 or +1\n"
 
     def test_candidate_rewritten_after_load_fails_in_select(self, tmp_path, capsys, monkeypatch):
         _make_candidates(tmp_path)
