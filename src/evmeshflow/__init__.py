@@ -43,6 +43,7 @@ from .events import (
 )
 from .io import (
     Evt1File,
+    Evt1Writer,
     flow_to_color,
     read_evt1,
     read_flo1,

@@ -15,17 +15,20 @@ there, whether it came from the file or from an override.
 import argparse
 import functools
 import os
+import shutil
 import sys
-from contextlib import contextmanager
+import tempfile
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from . import io
+from . import events, io
 from .cmax import select_best
 from .errors import FormatError, ParameterError
 from .events import (
-    multi_density_sweep,
+    _decoded_keys,
+    _swept_keys,
     spatial_guided_subsample,
     temporal_guided_subsample,
 )
@@ -131,10 +134,8 @@ def _read_flow(path: Path, shape, magics=(b"FLO1", b"MSH1")) -> np.ndarray:
     return upsample_bilinear(io.read_msh1(path), *shape)
 
 
-def _write_density(out: Path, thresholds, streams, densities) -> tuple[str, str]:
-    rows = [
-        [repr(c), len(s), repr(d)] for c, s, d in zip(thresholds, streams, densities)
-    ]
+def _write_density(out: Path, thresholds, counts, densities) -> tuple[str, str]:
+    rows = [[repr(c), n, repr(d)] for c, n, d in zip(thresholds, counts, densities)]
     io.write_csv_rows(out / "density.csv", ["threshold", "events", "density"], rows)
     return ("density.csv", f"sweeps={len(thresholds)}")
 
@@ -185,36 +186,83 @@ def cmd_gen(cfg, out: Path, seed: int):
     return entries, f"gen: {len(times)} frames, {len(times) - 1} intervals"
 
 
-def _sweep(cfg, seed: int):
+def _sweep_config(cfg, seed: int):
     with _config(cfg):
         scene = _scene_from_config(cfg, seed)
         thresholds = _floats(cfg.pop("thresholds", "0.2"))
         bins = int(cfg.pop("bins", "5"))
-    with _stage("simulate"):
-        streams = multi_density_sweep(_rendered(scene), thresholds)
-    with _stage("voxelize"):
-        densities = [density(voxelize(s, bins)) for s in streams]
-    return thresholds, streams, densities
+    return scene, thresholds, bins
+
+
+def _evt1_names(thresholds) -> list[str]:
+    return [f"events_{k:02d}_c{c:g}.evt1" for k, c in enumerate(thresholds)]
+
+
+def _sweep(scene: Scene, thresholds, bins: int, paths):
+    """Simulate the sweep into one EVT1 file per threshold: (event counts, densities).
+
+    Each interval's final keys are decoded and appended to their files as
+    the sweep runs, so no threshold's events are held.  Each file's density
+    is then voxelized from the file through its writer's descriptor, so
+    every file is opened once.  A sweep that fails leaves each file with
+    the writer's placeholder header, which no reader accepts.
+    """
+    swept = _swept_keys(_rendered(scene), thresholds)
+    with ExitStack() as files:
+        writers, held = [], [[] for _ in paths]
+        while True:
+            with _stage("simulate"):
+                step = next(swept, None)
+            if step is not None:
+                (height, width), t_start, _, ready = step
+                for keys, key in zip(held, ready):
+                    keys.append(key)
+            with _stage("write"):
+                if not writers:
+                    writers = [
+                        files.enter_context(io.Evt1Writer(path, width, height))
+                        for path in paths
+                    ]
+                # A block or more of keys at a time, so that many small
+                # intervals cost one decode and one append.
+                for writer, keys in zip(writers, held):
+                    if keys and (step is None or sum(map(len, keys)) >= events._BLOCK):
+                        writer.append(*_decoded_keys(np.concatenate(keys), width, height, t_start))
+                        keys.clear()
+            if step is None:
+                break
+        with _stage("write"):
+            handles = [writer.finish() for writer in writers]
+        with _stage("voxelize"):
+            densities = [density(voxelize(handle, bins)) for handle in handles]
+        return [len(writer) for writer in writers], densities
 
 
 def cmd_simulate(cfg, out: Path, seed: int):
-    thresholds, streams, densities = _sweep(cfg, seed)
-    entries = []
+    scene, thresholds, bins = _sweep_config(cfg, seed)
+    names = _evt1_names(thresholds)
+    counts, densities = _sweep(scene, thresholds, bins, [out / name for name in names])
+    entries = [
+        (name, f"threshold={c:g} events={n} density={d:.9f}")
+        for name, c, n, d in zip(names, thresholds, counts, densities)
+    ]
     with _stage("write"):
-        for k, (c, stream, dens) in enumerate(zip(thresholds, streams, densities)):
-            name = f"events_{k:02d}_c{c:g}.evt1"
-            io.write_evt1(out / name, stream)
-            entries.append(
-                (name, f"threshold={c:g} events={len(stream)} density={dens:.9f}")
-            )
-        entries.append(_write_density(out, thresholds, streams, densities))
+        entries.append(_write_density(out, thresholds, counts, densities))
     return entries, f"simulate: {len(thresholds)} threshold(s)"
 
 
 def cmd_density(cfg, out: Path, seed: int):
-    thresholds, streams, densities = _sweep(cfg, seed)
+    scene, thresholds, bins = _sweep_config(cfg, seed)
+    # The streams go to a directory of their own, removed however the sweep ends.
     with _stage("write"):
-        entry = _write_density(out, thresholds, streams, densities)
+        work = Path(tempfile.mkdtemp(prefix=".density-", dir=out))
+    try:
+        paths = [work / name for name in _evt1_names(thresholds)]
+        counts, densities = _sweep(scene, thresholds, bins, paths)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    with _stage("write"):
+        entry = _write_density(out, thresholds, counts, densities)
     return [entry], f"density: {len(thresholds)} threshold(s)"
 
 

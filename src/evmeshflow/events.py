@@ -26,12 +26,16 @@ block-sized and stay in cache; a stream of at most one block is one block.
 Each event's result depends on that event alone, and every accumulation
 still adds its terms pass by pass in event order, so the bytes do not
 depend on the block size.
-The sweep's event-sized arrays are each threshold's int64 sort keys (8
-bytes per event, held per interval and then concatenated) and the decoded
-stream: the decode writes each block's times over its keys, so the
-stream's t is the key array and the decode adds only int32 x and y and
-int8 p (9 bytes per event).  The per-pixel levels and buffers are released
-before the decode.
+The sweep runs in the private generator `_swept_keys`: as each interval
+closes, it sorts that interval's int64 sort keys into each threshold's
+pending keys and yields those that no later event can precede, so the
+yields concatenate to the globally sorted keys.  `multi_density_sweep`
+concatenates them (8 bytes per event) and decodes each threshold in turn,
+after its parts are freed: the decode writes each block's times over its
+keys, so the stream's t is the key array and the decode adds only int32 x
+and y and int8 p (9 bytes per event).  CLI `simulate` instead decodes the
+yields as they come and appends them to EVT1 files through
+`io.Evt1Writer`, so it holds no threshold's events.
 """
 
 from dataclasses import dataclass, replace
@@ -158,8 +162,21 @@ def _event_keys(t, pix, p, plane, t_start):
     return ((t - int(t_start)) * int(plane) + pix) * 2 + (p > 0)
 
 
-def _sorted_events(key, width, height, t_start, t_end):
-    """Sort event keys in place and decode them to int32 x and y, int64 t and int8 p.
+def _check_key_span(span, width, height):
+    """Raise ParameterError when keys over a `span` us span overflow int64.
+
+    The keys of times t_start .. t_start + span on a W x H sensor reach
+    (span + 1) * 2 * H * W - 1, which must not pass 2**63 - 1.
+    """
+    if (int(span) + 1) * 2 * int(width) * int(height) > np.iinfo(np.int64).max:
+        raise ParameterError(
+            f"a {span} us span on a {width}x{height} sensor "
+            "overflows the int64 event sort key"
+        )
+
+
+def _decoded_keys(key, width, height, t_start):
+    """Decode sorted event keys to int32 x and y, int64 t and int8 p.
 
     The keys are decoded block by block straight into the stream's dtypes,
     and each block's times overwrite its keys once its `p` and pixel are
@@ -167,18 +184,8 @@ def _sorted_events(key, width, height, t_start, t_end):
     per event (x, y and p) beyond the key and block-sized temporaries.  A
     quotient and a subtraction give the remainder: int64 `np.divmod` by a
     scalar costs several times a floor division.
-
-    Raises ParameterError when keys over [t_start, t_end] overflow int64,
-    (t_end - t_start + 1) * 2 * H * W > 2**63 - 1; such keys have wrapped,
-    so they are never decoded.
     """
-    t_start, t_end, plane = int(t_start), int(t_end), int(width) * int(height)
-    if (t_end - t_start + 1) * 2 * plane > np.iinfo(np.int64).max:
-        raise ParameterError(
-            f"a {t_end - t_start} us span on a {width}x{height} sensor "
-            "overflows the int64 event sort key"
-        )
-    key.sort()
+    t_start, plane = int(t_start), int(width) * int(height)
     n = len(key)
     x, y = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
     p = np.empty(n, dtype=np.int8)
@@ -192,6 +199,18 @@ def _sorted_events(key, width, height, t_start, t_end):
         y[s] = row
         x[s] = pix - row * width
     return x, y, key, p
+
+
+def _sorted_events(key, width, height, t_start, t_end):
+    """Sort event keys in place and decode them with `_decoded_keys`.
+
+    Raises ParameterError when keys over [t_start, t_end] overflow int64,
+    (t_end - t_start + 1) * 2 * H * W > 2**63 - 1; such keys have wrapped,
+    so they are never decoded.
+    """
+    _check_key_span(int(t_end) - int(t_start), width, height)
+    key.sort()
+    return _decoded_keys(key, width, height, t_start)
 
 
 # Events one threshold of a sweep may emit: 66x the 1,009,082 events of a
@@ -239,44 +258,25 @@ def _interval_events(ref, gap, la, lb, ta, tb, threshold, cand):
     return pix, ta + (target - la) / (lb - la) * (tb - ta), sign
 
 
-def multi_density_sweep(frames, thresholds) -> list[EventStream]:
-    """Simulate one stream per contrast threshold in one pass over the frames.
+def _swept_keys(frames, thresholds):
+    """Run the sweep, yielding each threshold's sorted event keys once they are final.
 
-    Each frame is validated and converted to log intensity once, as it
-    arrives; one reference level per threshold then advances over the
-    interval it closes, so the frames are never stacked and `frames` may
-    be a generator.  Within an interval every pixel moves its reference
-    toward the next frame's log intensity only, so its direction is fixed
-    once (up when lb >= ref).  Crossings are emitted in rounds; a pixel
-    that does not fire in a round keeps its reference and so cannot fire
-    later in that interval, so each round tests only the pixels that fired
-    in the one before.
+    After the interval [ta, tb] closes, its keys are merged into each
+    threshold's sorted pending keys, and the keys whose time is below
+    _us(tb) are yielded: ((H, W), t_start, _us(tb), ready), `ready` holding
+    one sorted int64 key array per threshold.  The rest carry forward.
+    Once the frames run out, a last yield holds every pending key, so the
+    last yield's time is t_end.  Concatenated per threshold, the yields are
+    the whole sweep's keys in sorted order.
 
-    Args:
-        frames: an iterable of (time in seconds, (H, W) intensity frame)
-            pairs, such as `render_sequence`'s; times strictly increasing,
-            intensities positive.
-        thresholds: log-intensity contrast steps, each > 0.
-
-    Returns:
-        One EventStream per threshold, in the input order, sorted by
-        (t, y, x, p), timestamps in microseconds.
-
-    Raises:
-        ShapeError: no frames, a frame that is not a non-empty 2-D array,
-            or a frame whose shape differs from the first.
-        DataError: an intensity <= 0, infinite or NaN; a time that is NaN,
-            infinite or whose microsecond count overflows int64; or a time
-            not above the previous frame's.
-        ParameterError: no thresholds or one <= 0; a threshold at or below
-            the float64 spacing of the largest |log intensity| read so far,
-            where a reference level could stop moving (checked as each
-            frame arrives, before the interval it closes is simulated); or
-            events were emitted over a span too long for the sort key,
-            (span_us + 1) * 2 * H * W > 2**63 - 1.
-        StepLimitError: for one threshold, the crossings counted before
-            each interval, floor(|lb - ref| / threshold) per pixel, add up
-            to more than _EVENT_BUDGET = 2**26 events.
+    The cut is safe because no later event can sort before it.  A later
+    interval [ta', tb'] has ta' >= tb, and its events have times
+    te = ta' + frac * (tb' - ta') with frac = (target - la) / (lb - la) >= 0
+    in float: a pixel fires only toward lb and its first target passes la
+    (`_interval_events`' references stay within one threshold of la), so
+    target - la has the sign of lb - la or is 0.  Rounding is monotone, so
+    te >= ta' >= tb and _us(te) >= _us(tb).  Frames less than 1 us apart
+    share a _us(tb), and their keys wait until a later time passes it.
     """
     thresholds = [float(c) for c in thresholds]
     if not thresholds:
@@ -286,7 +286,8 @@ def multi_density_sweep(frames, thresholds) -> list[EventStream]:
     shape = t_start = ta = la = None
     peak = 0.0
     refs, expected = None, [0.0] * len(thresholds)
-    keys = [[] for _ in thresholds]
+    pending = [np.empty(0, dtype=np.int64) for _ in thresholds]
+    emitted = [False] * len(thresholds)
     for tb, frame in frames:
         tb = float(tb)
         # False for NaN and inf; _us(tb) is an int64 whenever it holds.
@@ -316,44 +317,108 @@ def multi_density_sweep(frames, thresholds) -> list[EventStream]:
             refs = [lb.copy() for _ in thresholds]
             # Per-pixel buffers, reused by every interval and threshold.
             gap, size = np.empty_like(lb), np.empty_like(lb)
-        else:
-            for j, (c, ref) in enumerate(zip(thresholds, refs)):
-                np.subtract(lb, ref, out=gap)
-                np.abs(gap, out=size)
-                # With S = spacing(peak + c), a pixel fires first when
-                # s * lb >= fl(s * ref + c) >= s * ref + c - S / 2, and the
-                # rounded |gap| is within S of |lb - ref|, so a pixel with
-                # |gap| below fl(c - 2 * S) <= c - 1.5 * S cannot fire.
-                cand = np.flatnonzero(size >= c - 2.0 * np.spacing(peak + c))
-                # floor(size / c) is 0 off the candidates, and whole float64s
-                # add exactly in any order below 2**53 (and stay above the
-                # budget once past it), so the budget fails at the interval
-                # where a sum over every pixel would.
-                expected[j] += np.floor(size[cand] / c).sum()
-                if expected[j] > _EVENT_BUDGET:
-                    raise StepLimitError(
-                        f"threshold {c!r} would emit over {_EVENT_BUDGET} events"
-                    )
-                events = _interval_events(ref, gap, la, lb, ta, tb, c, cand)
-                if events is not None:
-                    pix, te, sign = events
-                    keys[j].append(_event_keys(_us(te), pix, sign, lb.size, t_start))
+            ta, la = tb, lb
+            continue
+        t_us = int(_us(tb))
+        # The keys of times below t_us lie below this bound, the others at or above it.
+        bound = (t_us - t_start) * 2 * lb.size
+        ready = []
+        for j, (c, ref) in enumerate(zip(thresholds, refs)):
+            np.subtract(lb, ref, out=gap)
+            np.abs(gap, out=size)
+            # With S = spacing(peak + c), a pixel fires first when
+            # s * lb >= fl(s * ref + c) >= s * ref + c - S / 2, and the
+            # rounded |gap| is within S of |lb - ref|, so a pixel with
+            # |gap| below fl(c - 2 * S) <= c - 1.5 * S cannot fire.
+            cand = np.flatnonzero(size >= c - 2.0 * np.spacing(peak + c))
+            # floor(size / c) is 0 off the candidates, and whole float64s
+            # add exactly in any order below 2**53 (and stay above the
+            # budget once past it), so the budget fails at the interval
+            # where a sum over every pixel would.
+            expected[j] += np.floor(size[cand] / c).sum()
+            if expected[j] > _EVENT_BUDGET:
+                raise StepLimitError(
+                    f"threshold {c!r} would emit over {_EVENT_BUDGET} events"
+                )
+            events = _interval_events(ref, gap, la, lb, ta, tb, c, cand)
+            emitted[j] |= events is not None
+            if emitted[j]:
+                # Before any key of this interval is computed, so none has wrapped.
+                _check_key_span(t_us - t_start, shape[1], shape[0])
+            key = pending[j]
+            if events is not None:
+                pix, te, sign = events
+                key = np.concatenate((key, _event_keys(_us(te), pix, sign, lb.size, t_start)))
+                key.sort()
+            cut = int(np.searchsorted(key, bound)) if len(key) else 0
+            ready.append(key[:cut])
+            pending[j] = key[cut:].copy() if cut else key
+        yield shape, t_start, t_us, ready
         ta, la = tb, lb
     if shape is None:
         raise ShapeError("no frames to simulate")
+    yield shape, t_start, int(_us(ta)), pending
 
+
+def multi_density_sweep(frames, thresholds) -> list[EventStream]:
+    """Simulate one stream per contrast threshold in one pass over the frames.
+
+    Each frame is validated and converted to log intensity once, as it
+    arrives; one reference level per threshold then advances over the
+    interval it closes, so the frames are never stacked and `frames` may
+    be a generator.  Within an interval every pixel moves its reference
+    toward the next frame's log intensity only, so its direction is fixed
+    once (up when lb >= ref).  Crossings are emitted in rounds; a pixel
+    that does not fire in a round keeps its reference and so cannot fire
+    later in that interval, so each round tests only the pixels that fired
+    in the one before.  Each interval's keys are sorted as it closes (see
+    `_swept_keys`); the final ones are concatenated and decoded here.
+
+    Args:
+        frames: an iterable of (time in seconds, (H, W) intensity frame)
+            pairs, such as `render_sequence`'s; times strictly increasing,
+            intensities positive.
+        thresholds: log-intensity contrast steps, each > 0.
+
+    Returns:
+        One EventStream per threshold, in the input order, sorted by
+        (t, y, x, p), timestamps in microseconds.
+
+    Raises:
+        ShapeError: no frames, a frame that is not a non-empty 2-D array,
+            or a frame whose shape differs from the first.
+        DataError: an intensity <= 0, infinite or NaN; a time that is NaN,
+            infinite or whose microsecond count overflows int64; or a time
+            not above the previous frame's.
+        ParameterError: no thresholds or one <= 0; a threshold at or below
+            the float64 spacing of the largest |log intensity| read so far,
+            where a reference level could stop moving (checked as each
+            frame arrives, before the interval it closes is simulated); or
+            events over a span too long for the sort key,
+            (span_us + 1) * 2 * H * W > 2**63 - 1, checked at the first
+            interval that closes past that span once the threshold has
+            events, before that interval's keys are computed.
+        StepLimitError: for one threshold, the crossings counted before
+            each interval, floor(|lb - ref| / threshold) per pixel, add up
+            to more than _EVENT_BUDGET = 2**26 events.
+    """
+    thresholds = list(thresholds)
+    parts = [[] for _ in thresholds]
+    for shape, t_start, t_end, ready in _swept_keys(frames, thresholds):
+        for j, key in enumerate(ready):
+            if len(key):
+                parts[j].append(key)
+    # The loop names hold the last yield's keys: drop them, so that each
+    # threshold's parts are freed as its own decode starts.
+    ready = key = None
     height, width = shape
-    t_end = int(_us(ta))
-    # Release the per-pixel levels and buffers before the decode allocates the streams.
-    refs = gap = size = la = lb = frame = cand = None
     streams = []
-    for j, parts in enumerate(keys):
-        if parts:
-            key = np.concatenate(parts)
-            # Release the parts before the decode allocates the stream.
-            keys[j] = parts = None
-            x, y, t, p = _sorted_events(key, width, height, t_start, t_end)
-            del key
+    for j in range(len(parts)):
+        if parts[j]:
+            key = np.concatenate(parts[j])
+            parts[j] = None
+            x, y, t, p = _decoded_keys(key, width, height, t_start)
+            key = None
         else:
             x = y = t = p = np.empty(0, dtype=np.int64)
         streams.append(EventStream(x, y, t, p, width, height, t_start, t_end))

@@ -8,18 +8,22 @@ malformed input rather than guessing.
 EVT1 records are written and read in blocks of `events._BLOCK` events
 through one reused record buffer, so neither direction builds an (N,)
 record array or holds the file's bytes; a record's fields depend on that
-record alone, so the bytes do not depend on the block size.  `read_evt1`
-decodes the blocks into one stream; `Evt1File` hands them out one at a
-time, each checked as a stream of its own, so a file can be scored
-without holding its events.  Both go through one header reader and one
-record decoder, and turn a failed stream check into the same
-FormatError.
+record alone, so the bytes do not depend on the block size.
+`Evt1Writer` is the one writer: it appends records as events arrive and
+writes the header's magic and count only when it closes cleanly, so a
+file whose writing failed never reads as a stream; `write_evt1` is one
+append.  `read_evt1` decodes the blocks into one stream; `Evt1File` hands
+them out one at a time, each checked as a stream of its own, so a file can
+be scored or voxelized without holding its events.  Both go through one
+header reader and one record decoder, and turn a failed stream check into
+the same FormatError.
 """
 
 import csv
 import math
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -43,23 +47,71 @@ _EVT1_COLUMNS = (np.int32, np.int32, np.int64, np.int8)
 _F32_HEADER = struct.Struct("<4s2I")  # magic, then two uint32 dims
 
 
+class Evt1Writer:
+    """An EVT1 file written as its events arrive, block by block.
+
+    Opening writes a placeholder header with a zero magic and count, and
+    `append` adds records; the header gets its magic and count only when
+    the writer closes without an error.  So a file whose writing failed
+    midway never reads as a stream: `read_evt1` and `Evt1File` raise
+    FormatError on it.  `finish` patches the header early and returns an
+    `Evt1File` that reads the file through the writer's own descriptor, so
+    a caller can walk what it just wrote without reopening it; it ends the
+    appends, and the handle holds until the writer closes.
+    """
+
+    def __init__(self, path, width: int, height: int):
+        if width > _EVT1_MAX_SIDE or height > _EVT1_MAX_SIDE:
+            raise ParameterError(
+                f"EVT1 holds sensors up to {_EVT1_MAX_SIDE} px per side, "
+                f"got {width}x{height}"
+            )
+        self.width, self.height, self._count = width, height, 0
+        self._buffer = np.zeros(0, dtype=_EVT1_RECORD)
+        self._fh = open(path, "w+b")
+        self._fh.write(_EVT1_HEADER.pack(bytes(4), width, height, 0))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def append(self, x, y, t, p) -> None:
+        """Write the records of the events (x, y, t, p) after those written so far."""
+        n = len(t)
+        if len(self._buffer) < min(n, events._BLOCK):
+            # Zeroed once: the fields are overwritten per block, the padding stays 0.
+            self._buffer = np.zeros(min(n, events._BLOCK), dtype=_EVT1_RECORD)
+        for s in _blocks(n):
+            records = self._buffer[: s.stop - s.start]
+            for name, column in zip("xytp", (x, y, t, p)):
+                records[name] = column[s]
+            self._fh.write(records)
+        self._count += n
+
+    def _patch_header(self) -> None:
+        self._fh.seek(0)
+        self._fh.write(_EVT1_HEADER.pack(b"EVT1", self.width, self.height, self._count))
+        self._fh.flush()
+
+    def finish(self) -> "Evt1File":
+        """Patch the header and return a handle that reads the file through this writer."""
+        self._patch_header()
+        return Evt1File(self._fh)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            if exc_type is None:
+                self._patch_header()
+        finally:
+            self._fh.close()
+
+
 def write_evt1(path, stream: EventStream) -> None:
     """Write an event stream: 16-byte header, then 16-byte event records."""
-    if stream.width > _EVT1_MAX_SIDE or stream.height > _EVT1_MAX_SIDE:
-        raise ParameterError(
-            f"EVT1 holds sensors up to {_EVT1_MAX_SIDE} px per side, "
-            f"got {stream.width}x{stream.height}"
-        )
-    n = len(stream)
-    # Zeroed once: the fields are overwritten per block, the padding stays 0.
-    buffer = np.zeros(min(n, events._BLOCK), dtype=_EVT1_RECORD)
-    with open(path, "wb") as fh:
-        fh.write(_EVT1_HEADER.pack(b"EVT1", stream.width, stream.height, n))
-        for s in _blocks(n):
-            records = buffer[: s.stop - s.start]
-            for name in ("x", "y", "t", "p"):
-                records[name] = getattr(stream, name)[s]
-            fh.write(records)
+    with Evt1Writer(path, stream.width, stream.height) as out:
+        out.append(stream.x, stream.y, stream.t, stream.p)
 
 
 def _read_evt1_header(fh) -> tuple[int, int, int]:
@@ -140,16 +192,21 @@ class Evt1File:
     Opening reads the header, checks the payload size and reads the first
     and last records, so `width`, `height`, `len`, `t_start` and `t_end`
     are those of `read_evt1(path)`.  `blocks` walks the records the way
-    `EventStream.blocks` walks a stream's arrays, so the scoring in `cmax`
-    takes either, and holds one block of records at a time.  Records are
-    checked only as the walk meets them, and a walk stops at the first bad
-    block, so on a file with two defects its message can differ from
-    `read_evt1`'s; call `read_evt1` first to check a file whole.
+    `EventStream.blocks` walks a stream's arrays, so `voxelize` and the
+    scoring in `cmax` take either, and hold one block of records at a time.
+    Records are checked only as the walk meets them, and a walk stops at
+    the first bad block, so on a file with two defects its message can
+    differ from `read_evt1`'s; call `read_evt1` first to check a file whole.
+
+    `source` is a path, opened again for each walk, or a binary file open
+    for reading, such as `Evt1Writer.finish` passes: every walk then seeks
+    it back to the start and reads through it, one walk at a time, and the
+    handle never closes it.
     """
 
-    def __init__(self, path):
-        self.path = path
-        with open(path, "rb") as fh:
+    def __init__(self, source):
+        self._source = source
+        with self._opened() as fh:
             self.width, self.height, self._count = _read_evt1_header(fh)
             ends = np.empty(min(self._count, 2), dtype=_EVT1_RECORD)
             if self._count:
@@ -158,6 +215,16 @@ class Evt1File:
                 _read_records(fh, ends[-1:])
         t = ends["t"]
         self.t_start, self.t_end = (int(t[0]), int(t[-1])) if self._count else (0, 0)
+
+    @contextmanager
+    def _opened(self):
+        """The file at its start: the one held, or the path opened for this use."""
+        if isinstance(self._source, (str, bytes, os.PathLike)):
+            with open(self._source, "rb") as fh:
+                yield fh
+        else:
+            self._source.seek(0)
+            yield self._source
 
     def __len__(self) -> int:
         return self._count
@@ -171,7 +238,7 @@ class Evt1File:
         raises FormatError.  A block's arrays are reused: they hold until
         the walk moves on.
         """
-        with open(self.path, "rb") as fh:
+        with self._opened() as fh:
             if _read_evt1_header(fh) != (self.width, self.height, self._count):
                 raise FormatError("EVT1 header changed since the file was opened")
             last = self.t_start

@@ -86,6 +86,30 @@ def test_voxelize_blocks(monkeypatch, block, n):
 
 
 @pytest.mark.parametrize("block, n", _CASES)
+def test_voxelize_reads_files_as_streams(tmp_path, monkeypatch, block, n):
+    """An EVT1 file voxelizes block by block as its stream does in memory."""
+    stream = _stream(n)
+    path = tmp_path / "events.evt1"
+    write_evt1(path, stream)
+    whole = [voxelize(read_evt1(path), bins).tobytes() for bins in (1, 3)]
+    monkeypatch.setattr(events, "_BLOCK", block)
+    handle = Evt1File(path)
+    for bins, want in zip((1, 3), whole):
+        assert voxelize(handle, bins).tobytes() == want
+
+
+def test_voxelize_checks_the_records_it_reads(tmp_path):
+    path = tmp_path / "events.evt1"
+    write_evt1(path, _stream(9))
+    handle = Evt1File(path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<b", blob, 16 + 16 * 4 + 12, 0)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="polarities"):
+        voxelize(handle, 3)
+
+
+@pytest.mark.parametrize("block, n", _CASES)
 def test_warp_and_splat_blocks(monkeypatch, block, n):
     stream = _stream(n)
     # Flows that put events on, between and off pixels of the 5 x 4 sensor.

@@ -11,6 +11,7 @@ from evmeshflow import (
     DataError,
     EventStream,
     Evt1File,
+    Evt1Writer,
     FormatError,
     ParameterError,
     ShapeError,
@@ -160,6 +161,73 @@ class TestEvt1:
         write_evt1(path, stream)
         back = read_evt1(path)
         assert back.width == 65535 and back.x[0] == 65534
+
+
+class TestEvt1Writer:
+    @pytest.mark.parametrize("sizes", [[], [0], [20], [1, 0, 5, 3, 11], [7, 6, 7]])
+    def test_appends_equal_write_evt1(self, tmp_path, monkeypatch, sizes):
+        # Blocks of 3 records, so appends start and end inside blocks.
+        monkeypatch.setattr(evmeshflow.events, "_BLOCK", 3)
+        stream = _stream(20, seed=len(sizes)).select(np.arange(20) < sum(sizes))
+        write_evt1(tmp_path / "whole.evt1", stream)
+        with Evt1Writer(tmp_path / "parts.evt1", stream.width, stream.height) as out:
+            start = 0
+            for size in sizes:
+                s = slice(start, start + size)
+                out.append(stream.x[s], stream.y[s], stream.t[s], stream.p[s])
+                start += size
+            assert len(out) == len(stream)
+        assert (tmp_path / "parts.evt1").read_bytes() == (tmp_path / "whole.evt1").read_bytes()
+
+    def test_unfinished_file_is_no_stream(self, tmp_path):
+        stream = _stream(9)
+        path = tmp_path / "partial.evt1"
+        with pytest.raises(RuntimeError, match="sweep failed"):
+            with Evt1Writer(path, stream.width, stream.height) as out:
+                out.append(stream.x, stream.y, stream.t, stream.p)
+                out._fh.flush()
+                # While the writer is open the magic is zero.
+                with pytest.raises(FormatError, match="magic"):
+                    read_evt1(path)
+                raise RuntimeError("sweep failed")
+        # An error leaves the placeholder header, and records behind it.
+        assert path.stat().st_size == 16 + 16 * 9
+        for reader in (read_evt1, Evt1File):
+            with pytest.raises(FormatError, match="magic"):
+                reader(path)
+
+    def test_finish_reads_through_the_writers_descriptor(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evmeshflow.events, "_BLOCK", 3)
+        stream = _stream(10)
+        path = tmp_path / "events.evt1"
+        with Evt1Writer(path, stream.width, stream.height) as out:
+            out.append(stream.x[:4], stream.y[:4], stream.t[:4], stream.p[:4])
+            out.append(stream.x[4:], stream.y[4:], stream.t[4:], stream.p[4:])
+            handle = out.finish()
+            assert (handle.width, handle.height, len(handle)) == (32, 24, 10)
+            assert (handle.t_start, handle.t_end) == (stream.t_start, stream.t_end)
+            for _ in range(2):
+                got = [[a.copy() for a in block] for _, *block in handle.blocks()]
+                want = [block for _, *block in stream.blocks()]
+                assert [[a.tobytes() for a in b] for b in got] == [[a.tobytes() for a in b] for b in want]
+        assert out._fh.closed
+        assert _stream_tuples(read_evt1(path)) == _stream_tuples(stream)
+
+    def test_handle_leaves_an_open_file_open(self, tmp_path):
+        path = tmp_path / "events.evt1"
+        write_evt1(path, _stream(5))
+        with open(path, "rb") as fh:
+            fh.seek(7)
+            handle = Evt1File(fh)
+            assert len(list(handle.blocks())) == 1
+            assert not fh.closed and len(handle) == 5
+
+    @pytest.mark.parametrize("width, height", [(70000, 8), (8, 65536)])
+    def test_oversize_sensor_rejected_before_opening(self, tmp_path, width, height):
+        path = tmp_path / "big.evt1"
+        with pytest.raises(ParameterError, match="65535"):
+            Evt1Writer(path, width, height)
+        assert not path.exists()
 
 
 class TestFlo1:
